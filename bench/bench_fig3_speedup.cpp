@@ -39,8 +39,8 @@ int main() {
     }
   }
   std::printf(
-      "\nSingle-core substrate: wall time cannot drop with rank count;\n"
-      "'work-imb' near 1.0 is what yields the paper's Fig 3 speedups on\n"
-      "real nodes (see EXPERIMENTS.md).\n");
+      "\nShared-host substrate: once ranks outnumber cores, wall time\n"
+      "cannot drop with rank count; 'work-imb' near 1.0 is what yields\n"
+      "the paper's Fig 3 speedups on real nodes.\n");
   return 0;
 }

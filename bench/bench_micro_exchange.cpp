@@ -178,6 +178,7 @@ void BM_ExchangeUpdatesBounded(benchmark::State& state) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       core::UpdateExchanger exchanger(bound);
+      exchanger.build_destinations(g);
       std::vector<part_t> parts(g.n_total(), 0);
       std::vector<lid_t> queue(g.n_local());
       for (lid_t v = 0; v < g.n_local(); ++v) queue[v] = v;
@@ -332,6 +333,7 @@ void BM_ShardedUpdates(benchmark::State& state) {
           if (hier)
             exchanger.set_shard_policy(
                 xtra::comm::ShardPolicy::kHierarchical);
+          exchanger.build_destinations(g);
           std::vector<part_t> parts(g.n_total(), 0);
           std::vector<lid_t> queue(g.n_local());
           for (lid_t v = 0; v < g.n_local(); ++v) queue[v] = v;

@@ -8,7 +8,7 @@
 // paper's PuLP-vs-XtraPuLP comparison (Fig 4).
 //
 // Loops are written serially; the paper's OpenMP threading changes
-// wall-clock, not algorithm (this substrate has one core — DESIGN.md).
+// wall-clock, not algorithm (DESIGN.md §2).
 #include <algorithm>
 
 #include "baseline/partitioners.hpp"

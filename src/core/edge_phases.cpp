@@ -14,26 +14,6 @@ double ratio_weight(double target, double est_size) {
   return std::max(target / denom - 1.0, 0.0);
 }
 
-/// Apply the cut-size deltas of moving v from x to w: for each incident
-/// edge (v,u), the edge's cut state may flip, which changes the
-/// per-part incident-cut counts of x, w, and parts(u).  (Sc(i) counts
-/// cut edges with an endpoint in part i; see DESIGN.md.)
-void apply_cut_deltas(const graph::DistGraph& g,
-                      const std::vector<part_t>& parts, lid_t v, part_t x,
-                      part_t w, std::vector<count_t>& change_c) {
-  for (const lid_t u : g.arcs(v)) {
-    const part_t pu = parts[u];
-    if (pu != x) {  // was cut: remove from both sides
-      --change_c[static_cast<std::size_t>(x)];
-      --change_c[static_cast<std::size_t>(pu)];
-    }
-    if (pu != w) {  // is cut now: add to both sides
-      ++change_c[static_cast<std::size_t>(w)];
-      ++change_c[static_cast<std::size_t>(pu)];
-    }
-  }
-}
-
 }  // namespace
 
 void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
@@ -114,7 +94,7 @@ void edge_balance_phase(sim::Comm& comm, const graph::DistGraph& g,
         ++st.change_v[static_cast<std::size_t>(best)];
         st.change_e[static_cast<std::size_t>(x)] -= dv;
         st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(g, parts, v, x, best, st.change_c);
+        apply_cut_deltas(g, counts, v, x, best, st.change_c);
         parts[v] = best;
         queue.push_back(v);
         scan.mark_moved(g, v);
@@ -191,7 +171,7 @@ void edge_refine_phase(sim::Comm& comm, const graph::DistGraph& g,
         ++st.change_v[static_cast<std::size_t>(best)];
         st.change_e[static_cast<std::size_t>(x)] -= dv;
         st.change_e[static_cast<std::size_t>(best)] += dv;
-        apply_cut_deltas(g, parts, v, x, best, st.change_c);
+        apply_cut_deltas(g, counts, v, x, best, st.change_c);
         parts[v] = best;
         queue.push_back(v);
         scan.mark_moved(g, v);

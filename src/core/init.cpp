@@ -59,6 +59,7 @@ std::vector<part_t> init_bfs_growing(sim::Comm& comm,
   // are reused across iterations (and honor the configured cap).
   UpdateExchanger exchanger(params.max_exchange_bytes);
   exchanger.set_backend(params.backend);
+  exchanger.build_destinations(g);
   exchanger.run(comm, g, parts, queue);
 
   Rng rng(params.seed, 0xB0075 + static_cast<std::uint64_t>(comm.rank()));

@@ -1,6 +1,7 @@
 #include "core/state.hpp"
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::core {
 
@@ -32,12 +33,26 @@ std::vector<count_t> compute_cut_sizes(sim::Comm& comm,
                                        const graph::DistGraph& g,
                                        const std::vector<part_t>& parts,
                                        part_t nparts) {
-  std::vector<count_t> sizes(static_cast<std::size_t>(nparts), 0);
-  for (lid_t v = 0; v < g.n_local(); ++v) {
-    const part_t pv = parts[v];
-    for (const lid_t u : g.arcs(v))
-      if (parts[u] != pv) ++sizes[static_cast<std::size_t>(pv)];
-  }
+  const auto n = static_cast<count_t>(g.n_local());
+  const auto np = static_cast<std::size_t>(nparts);
+  // Per-chunk integer partials, summed after the join; integer sums
+  // are exact, so the result is the serial count at any width.
+  std::vector<count_t> partials(
+      static_cast<std::size_t>(par::chunk_count(n)) * np, 0);
+  par::for_chunks_if(!g.out_of_core(), n, [&](count_t c, count_t lo,
+                                              count_t hi) {
+    count_t* sizes = partials.data() + static_cast<std::size_t>(c) * np;
+    for (count_t i = lo; i < hi; ++i) {
+      const auto v = static_cast<lid_t>(i);
+      const part_t pv = parts[v];
+      count_t cut = 0;
+      for (const lid_t u : g.arcs(v)) cut += parts[u] != pv ? 1 : 0;
+      sizes[static_cast<std::size_t>(pv)] += cut;
+    }
+  });
+  std::vector<count_t> sizes(np, 0);
+  for (std::size_t off = 0; off < partials.size(); off += np)
+    for (std::size_t i = 0; i < np; ++i) sizes[i] += partials[off + i];
   comm.allreduce_sum(sizes);
   return sizes;
 }
@@ -57,6 +72,15 @@ void fold_changes(sim::Comm& comm, PhaseState& st) {
   // iteration, so summed deltas drift from the truth (unlike Cv/Ce,
   // which depend only on the moved vertex). The edge phases recompute
   // Sc exactly after each ghost exchange instead.
+}
+
+void apply_cut_deltas(const graph::DistGraph& g, const NeighborCounts& counts,
+                      lid_t v, part_t x, part_t w,
+                      std::vector<count_t>& change_c) {
+  XTRA_DEBUG_ASSERT(x != w);
+  const count_t d = g.out_degree(v);
+  change_c[static_cast<std::size_t>(x)] += 2 * counts.units(x) - d;
+  change_c[static_cast<std::size_t>(w)] += d - 2 * counts.units(w);
 }
 
 void refresh_cut_sizes(sim::Comm& comm, const graph::DistGraph& g,

@@ -118,30 +118,73 @@ void fold_changes(sim::Comm& comm, PhaseState& st);
 void refresh_cut_sizes(sim::Comm& comm, const graph::DistGraph& g,
                        const std::vector<part_t>& parts, PhaseState& st);
 
-/// Scratch for the per-vertex neighbor-part counting loop: a dense
-/// counts array plus the list of touched parts, reset in O(touched).
+/// Scratch for the per-vertex neighbor-part counting loop: dense
+/// weighted counts and unit (arc) counts plus the list of touched
+/// parts, reset in O(touched).
+///
+/// The weighted count is what the phases score; the unit count is how
+/// many arcs land in the part, which the edge phases need for the
+/// closed-form cut delta of a move (DESIGN.md §11). A part is touched
+/// on its first nonzero weight; a part reached only by zero-weight
+/// arcs keeps its unit count in a side list so reset() still clears it.
 class NeighborCounts {
  public:
   explicit NeighborCounts(part_t nparts)
-      : counts_(static_cast<std::size_t>(nparts), 0.0) {}
+      : counts_(static_cast<std::size_t>(nparts), 0.0),
+        units_(static_cast<std::size_t>(nparts), 0) {}
 
-  void add(part_t p, double w) {
-    auto i = static_cast<std::size_t>(p);
-    if (counts_[i] == 0.0 && w != 0.0) touched_.push_back(p);
+  void add(part_t p, double w) { add(p, 1, w); }
+
+  /// Add `units` arcs of total weight `w` to part p (a cache replay
+  /// adds a whole part at once).
+  void add(part_t p, count_t units, double w) {
+    const auto i = static_cast<std::size_t>(p);
+    if (counts_[i] == 0.0) {
+      if (w != 0.0) {
+        touched_.push_back(p);
+      } else if (units_[i] == 0) {
+        unweighted_.push_back(p);
+      }
+    }
     counts_[i] += w;
+    units_[i] += units;
   }
 
   double get(part_t p) const { return counts_[static_cast<std::size_t>(p)]; }
+  /// Number of arcs counted into part p.
+  count_t units(part_t p) const { return units_[static_cast<std::size_t>(p)]; }
   const std::vector<part_t>& touched() const { return touched_; }
+  /// Parts reached so far only by zero-weight arcs (possibly touched
+  /// later); their units still count.
+  const std::vector<part_t>& unweighted() const { return unweighted_; }
 
   void reset() {
-    for (const part_t p : touched_) counts_[static_cast<std::size_t>(p)] = 0.0;
+    for (const part_t p : touched_) clear(p);
+    for (const part_t p : unweighted_) clear(p);
     touched_.clear();
+    unweighted_.clear();
   }
 
  private:
+  void clear(part_t p) {
+    counts_[static_cast<std::size_t>(p)] = 0.0;
+    units_[static_cast<std::size_t>(p)] = 0;
+  }
+
   std::vector<double> counts_;
+  std::vector<count_t> units_;
   std::vector<part_t> touched_;
+  std::vector<part_t> unweighted_;
 };
+
+/// Cut-size deltas of moving owned vertex v from part x to part w != x,
+/// in closed form (DESIGN.md §11). Sc(i) counts cut arcs with an
+/// endpoint in part i, so only x and w change: with d = out_degree(v)
+/// and c_p = counts.units(p), change_c[x] += 2c_x - d and
+/// change_c[w] += d - 2c_w. `counts` holds v's neighborhood against
+/// the labels before the move.
+void apply_cut_deltas(const graph::DistGraph& g, const NeighborCounts& counts,
+                      lid_t v, part_t x, part_t w,
+                      std::vector<count_t>& change_c);
 
 }  // namespace xtra::core

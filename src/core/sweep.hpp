@@ -9,11 +9,11 @@
 //
 //  * scan(): parallel, read-only. Every owned vertex's neighbor-part
 //    counts are computed against the sweep-start labels on the rank's
-//    thread pool (util/parallel.hpp) and cached as (part, weight)
-//    entries in first-touch order, chunk by chunk. No writer exists
-//    during the scan — ghost labels only change at the end-of-sweep
-//    exchange, owned labels only in the commit — so the reads race
-//    with nothing.
+//    thread pool (util/parallel.hpp) and cached as (part, units,
+//    weight) entries in first-touch order, chunk by chunk. No writer
+//    exists during the scan — ghost labels only change at the
+//    end-of-sweep exchange, owned labels only in the commit — so the
+//    reads race with nothing.
 //  * commit (in the phase, serial): the ORIGINAL per-vertex selection
 //    runs unchanged over materialized counts — replayed from the
 //    cache when the vertex is clean, recounted live when an earlier
@@ -29,19 +29,28 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/state.hpp"
 #include "graph/dist_graph.hpp"
+#include "util/assert.hpp"
 #include "util/parallel.hpp"
 
 namespace xtra::core {
 
 class PhaseScan {
  public:
-  using Entry = std::pair<part_t, double>;
+  /// One part of a vertex's neighborhood: how many arcs land in it
+  /// and their total weight.
+  struct Entry {
+    part_t part;
+    std::uint32_t units;
+    double weight;
+  };
+  static_assert(sizeof(Entry) == 16, "cache entry must stay 16 bytes");
 
   /// Neighbor weighting of the counts: Alg 4's degree weighting for
   /// the balance phases, plain label counts for refinement.
@@ -75,22 +84,21 @@ class PhaseScan {
         counts.reset();
         count_neighbors(g, parts, v, counts);
         const auto off = static_cast<count_t>(out.size());
+        // Touched parts first, in touch order, so a replay rebuilds
+        // the same touched() sequence; then parts reached only by
+        // zero-weight arcs, which carry units but no weight.
         for (const part_t pt : counts.touched())
-          out.push_back({pt, counts.get(pt)});
+          out.push_back({pt, units32(counts.units(pt)), counts.get(pt)});
+        for (const part_t pt : counts.unweighted())
+          if (counts.get(pt) == 0.0)
+            out.push_back({pt, units32(counts.units(pt)), 0.0});
         loc_[static_cast<std::size_t>(v)] = {
             off, static_cast<count_t>(out.size()) - off};
       }
     };
-    if (g.out_of_core()) {
-      // Segment borrows may issue substrate calls (remote backing),
-      // which must stay on the rank thread — replay the exact chunk
-      // decomposition serially so the cached layout is unchanged.
-      for (count_t c = 0; c < nchunks; ++c)
-        scan_chunk(c, c * par::kChunkGrain,
-                   std::min(n, (c + 1) * par::kChunkGrain));
-    } else {
-      par::for_chunks(n, scan_chunk);
-    }
+    // Out-of-core sweeps replay the same chunks serially, so the cached
+    // layout is unchanged.
+    par::for_chunks_if(!g.out_of_core(), n, scan_chunk);
   }
 
   /// Materialize v's neighbor-part counts for the commit pass: replay
@@ -106,7 +114,7 @@ class PhaseScan {
       count_neighbors(g, parts, v, counts);
       return;
     }
-    for (const Entry& e : entries(v)) counts.add(e.first, e.second);
+    for (const Entry& e : entries(v)) counts.add(e.part, e.units, e.weight);
   }
 
   /// Record that v moved: every owned vertex whose counts include v
@@ -120,8 +128,8 @@ class PhaseScan {
     return dirty_[static_cast<std::size_t>(v)] != 0;
   }
 
-  /// Cached (part, weight) entries of v in first-touch order (valid
-  /// while v is clean).
+  /// Cached entries of v in first-touch order (valid while v is
+  /// clean).
   std::span<const Entry> entries(lid_t v) const {
     const auto [off, len] = loc_[static_cast<std::size_t>(v)];
     const auto c =
@@ -130,6 +138,11 @@ class PhaseScan {
   }
 
  private:
+  static std::uint32_t units32(count_t units) {
+    XTRA_DEBUG_ASSERT(units >= 0 && units <= UINT32_MAX);
+    return static_cast<std::uint32_t>(units);
+  }
+
   void count_neighbors(const graph::DistGraph& g,
                        const std::vector<part_t>& parts, lid_t v,
                        NeighborCounts& counts) const {

@@ -21,6 +21,12 @@ namespace xtra::core {
 namespace {
 
 void validate(const graph::DistGraph& g, const Params& params) {
+  // Label updates reach the owners of a vertex's out-arcs only, so on
+  // a directed graph a ghost seen only through an in-arc would keep
+  // kNoPart and be used as a part index.
+  if (g.directed())
+    throw std::invalid_argument(
+        "partition needs an undirected graph (see graph::symmetrized)");
   if (params.nparts < 1)
     throw std::invalid_argument("nparts must be >= 1");
   if (static_cast<gid_t>(params.nparts) > g.n_global())
@@ -57,6 +63,7 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
   st.exchanger.set_shard_policy(params.shard_policy);
   st.exchanger.set_backend(params.backend);
+  st.exchanger.build_destinations(g);
   st.x = params.mult_x;
   st.y = params.mult_y;
   st.i_tot = std::max(params.outer_iters *

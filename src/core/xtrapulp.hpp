@@ -23,6 +23,8 @@ namespace xtra::core {
 /// Run the full XtraPuLP pipeline (init, Iouter x (vertex balance +
 /// refine), then Iouter x (edge balance + refine) unless disabled).
 /// Collective; every rank receives its local view of the partition.
+/// `g` must be undirected (symmetrize a directed edge list first);
+/// bad graphs or params throw std::invalid_argument.
 PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
                           const Params& params);
 

@@ -1,7 +1,8 @@
 // Synthetic graph generators covering every graph class of Table I.
 //
 // All generators are deterministic in (parameters, seed). Sizes here
-// are scaled down from the paper's (this substrate runs on one core);
+// are scaled down from the paper's (this substrate runs every rank on
+// one host of a few cores);
 // the *structural* properties the experiments depend on — degree
 // skew, diameter, locality of a block ordering — are preserved. See
 // DESIGN.md §2 for the substitution table.

@@ -1,11 +1,11 @@
 // Simulated message-passing runtime (the "MPI" substrate).
 //
 // The paper runs XtraPuLP as MPI+OpenMP on up to 8192 nodes of Blue
-// Waters. This environment has no MPI and a single core, so — per the
-// documented substitution in DESIGN.md — we provide an in-process
-// runtime with the same semantics: each *rank* is a std::thread with
-// private data, and ranks may exchange data only through the
-// collectives below. Because XtraPuLP is bulk-synchronous (local
+// Waters. This environment has no MPI and one host of a few cores,
+// so — per the documented substitution in DESIGN.md — we provide an
+// in-process runtime with the same semantics: each *rank* is a
+// std::thread with private data, and ranks may exchange data only
+// through the collectives below. Because XtraPuLP is bulk-synchronous (local
 // compute + Alltoallv + Allreduce per iteration), running the identical
 // program over this runtime exercises the same distribution logic,
 // ghost-update protocol, and oscillation behaviour as real MPI; only

@@ -103,6 +103,21 @@ void for_chunks(count_t n, Body&& body) {
   });
 }
 
+/// for_chunks when `parallel`, else the same chunks in index order on
+/// the calling thread — same chunk layout, so per-chunk outputs are
+/// identical either way. Out-of-core sweeps take the serial form:
+/// their segment borrows may issue substrate calls, which must stay on
+/// the rank thread.
+template <typename Body>
+void for_chunks_if(bool parallel, count_t n, Body&& body) {
+  if (parallel) {
+    for_chunks(n, body);
+    return;
+  }
+  for (count_t lo = 0; lo < n; lo += kChunkGrain)
+    body(lo / kChunkGrain, lo, std::min(n, lo + kChunkGrain));
+}
+
 /// Deterministic chunked reduction: partial(chunk, lo, hi) returns the
 /// chunk's contribution; the partials are summed in chunk-index order,
 /// so the result is bit-identical for any thread count (and equals the

@@ -66,24 +66,6 @@ TEST(DestBuckets, GroupsRecordsByDestinationInOrder) {
   EXPECT_EQ(b.total(), 3);
 }
 
-TEST(DestBuckets, StampDedupAdmitsOnePerDestinationPerKey) {
-  DestBuckets<int> b;
-  b.begin(2);
-  // Key 0 touches dest 1 three times -> one record; key 1 touches it
-  // again -> a second record (different key, not deduped).
-  EXPECT_TRUE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_FALSE(b.count_once(1, 0));
-  EXPECT_TRUE(b.count_once(1, 1));
-  b.commit();
-  EXPECT_TRUE(b.push_once(1, 0, 7));
-  EXPECT_FALSE(b.push_once(1, 0, 8));
-  EXPECT_FALSE(b.push_once(1, 0, 9));
-  EXPECT_TRUE(b.push_once(1, 1, 10));
-  EXPECT_EQ(b.counts(), (std::vector<count_t>{0, 2}));
-  EXPECT_EQ(b.records(), (std::vector<int>{7, 10}));
-}
-
 TEST(DestBuckets, EmptyBuildYieldsEmptyBuffers) {
   DestBuckets<int> b;
   b.begin(4);
@@ -809,6 +791,8 @@ TEST(BoundedExchange, UpdateExchangerSplitMatchesRun) {
           comm, el, graph::VertexDist::block(el.n, 3));
       core::UpdateExchanger run_ex(bound);
       core::UpdateExchanger split_ex(bound);
+      run_ex.build_destinations(g);
+      split_ex.build_destinations(g);
       run_ex.set_backend(env_backend());
       split_ex.set_backend(env_backend());
       std::vector<part_t> run_parts(g.n_total(), 0);
@@ -889,6 +873,8 @@ TEST(HierarchicalCallers, UpdateExchangerIdenticalUnderHierRouting) {
           core::UpdateExchanger flat_ex(bound);
           core::UpdateExchanger hier_ex(bound);
           hier_ex.set_shard_policy(comm::ShardPolicy::kHierarchical);
+          flat_ex.build_destinations(g);
+          hier_ex.build_destinations(g);
           std::vector<part_t> flat_parts(g.n_total(), 0);
           std::vector<part_t> hier_parts(g.n_total(), 0);
           for (int it = 0; it < 3; ++it) {

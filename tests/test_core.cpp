@@ -12,8 +12,10 @@
 #include "core/xtrapulp.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
+#include "graph/halo.hpp"
 #include "metrics/quality.hpp"
 #include "mpisim/comm.hpp"
+#include "util/rng.hpp"
 
 namespace xtra::core {
 namespace {
@@ -91,6 +93,88 @@ TEST_P(CoreRanks, ExchangeSendsOnlyChangedVertices) {
     for (lid_t v = g.n_local(); v < g.n_total(); ++v)
       EXPECT_EQ(parts[v], g.gid_of(v) == 2 ? 1 : 0);
   });
+}
+
+/// Algorithm 3's send side by a direct arc walk: one record per
+/// (queued vertex, distinct remote owner of one of its arcs), grouped
+/// by destination rank in queue order.
+std::vector<std::vector<PartUpdate>> arc_walk_buckets(
+    const DistGraph& g, const std::vector<part_t>& parts,
+    const std::vector<lid_t>& queue) {
+  std::vector<std::vector<PartUpdate>> out(
+      static_cast<std::size_t>(g.nranks()));
+  for (const lid_t v : queue) {
+    std::vector<bool> sent(static_cast<std::size_t>(g.nranks()), false);
+    for (const lid_t u : g.arcs(v)) {
+      const auto r = static_cast<std::size_t>(g.owner_of(u));
+      if (static_cast<int>(r) == g.rank() || sent[r]) continue;
+      sent[r] = true;
+      out[r].push_back({g.gid_of(v), parts[v]});
+    }
+  }
+  return out;
+}
+
+TEST(UpdateDestinations, MatchArcWalkInCoreAndBehindSegmentCache) {
+  // Skewed degrees, so hubs reach every rank and leaves reach one.
+  const EdgeList el = gen::rmat(10, 8, 21);
+  constexpr part_t kParts = 8;
+  for (const int nranks : {2, 3, 5}) {
+    for (const bool ooc : {false, true}) {
+      sim::run_world(nranks, [&](sim::Comm& comm) {
+        DistGraph g = build_dist_graph(
+            comm, el, VertexDist::random(el.n, nranks, 4));
+        graph::HaloPlan halo(comm, g);
+        if (ooc) {
+          graph::SegCacheOptions opt;
+          opt.segment_bytes = 1 << 9;
+          opt.budget_bytes =
+              g.m_local() * static_cast<count_t>(sizeof(lid_t)) / 4;
+          g.enable_out_of_core(comm, opt);
+        }
+        UpdateExchanger ex;
+        ex.build_destinations(g);
+        std::vector<part_t> parts(g.n_total());
+        for (lid_t v = 0; v < g.n_total(); ++v)
+          parts[v] =
+              static_cast<part_t>(hash_to_bucket(g.gid_of(v), 9, kParts));
+        Rng rng(31, static_cast<std::uint64_t>(comm.rank()));
+        for (int it = 0; it < 4; ++it) {
+          // A random subset in random order, relabeled at random.
+          std::vector<lid_t> queue;
+          for (lid_t v = 0; v < g.n_local(); ++v)
+            if (rng.next_below(3) == 0) queue.push_back(v);
+          for (std::size_t i = queue.size(); i > 1; --i)
+            std::swap(queue[i - 1], queue[rng.next_below(i)]);
+          for (const lid_t v : queue)
+            parts[v] = static_cast<part_t>(rng.next_below(kParts));
+
+          const auto expect = arc_walk_buckets(g, parts, queue);
+          ex.start(comm, g, parts, queue);
+          const auto& sent = ex.send_buckets();
+          std::size_t slot = 0;
+          for (int r = 0; r < nranks; ++r) {
+            const auto& want = expect[static_cast<std::size_t>(r)];
+            ASSERT_EQ(sent.counts()[static_cast<std::size_t>(r)],
+                      static_cast<count_t>(want.size()))
+                << "dest " << r << " iter " << it;
+            for (const PartUpdate& rec : want) {
+              const PartUpdate& got = sent.records()[slot++];
+              EXPECT_EQ(got.gid, rec.gid);
+              EXPECT_EQ(got.part, rec.part);
+            }
+          }
+          EXPECT_EQ(slot, sent.records().size());
+          ex.finish(comm, g, parts);
+
+          std::vector<part_t> refreshed = parts;
+          halo.exchange(comm, refreshed);
+          EXPECT_EQ(refreshed, parts) << "iter " << it;
+        }
+        if (ooc) g.disable_out_of_core(comm);
+      });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,6 +430,18 @@ TEST(Partition, InvalidParamsThrow) {
     EXPECT_THROW(partition(comm, g, params), std::invalid_argument);
     params.vert_imbalance = 0.1;
     params.outer_iters = 0;
+    EXPECT_THROW(partition(comm, g, params), std::invalid_argument);
+  });
+}
+
+TEST(Partition, DirectedGraphIsRejected) {
+  EdgeList el = gen::rmat(9, 8, 3);
+  el.directed = true;
+  sim::run_world(2, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 2, 1));
+    Params params;
+    params.nparts = 8;
     EXPECT_THROW(partition(comm, g, params), std::invalid_argument);
   });
 }

@@ -9,11 +9,13 @@
 #include "core/init.hpp"
 #include "core/phases.hpp"
 #include "core/state.hpp"
+#include "core/sweep.hpp"
 #include "core/xtrapulp.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "metrics/quality.hpp"
 #include "mpisim/comm.hpp"
+#include "util/rng.hpp"
 
 namespace xtra::core {
 namespace {
@@ -39,6 +41,7 @@ PhaseState make_state(sim::Comm& comm, const DistGraph& g,
       static_cast<double>(g.m_global()) / static_cast<double>(nparts)) + 1;
   st.size_v = compute_vertex_sizes(comm, g, parts, nparts);
   st.change_v.assign(static_cast<std::size_t>(nparts), 0);
+  st.exchanger.build_destinations(g);
   return st;
 }
 
@@ -258,6 +261,198 @@ TEST(NeighborCountsScratch, ZeroWeightDoesNotTouch) {
   NeighborCounts counts(4);
   counts.add(2, 0.0);
   EXPECT_TRUE(counts.touched().empty());
+}
+
+TEST(NeighborCountsScratch, ZeroWeightStillCountsUnits) {
+  NeighborCounts counts(4);
+  counts.add(2, 0.0);
+  counts.add(1, 3.0);
+  counts.add(2, 0.0);
+  EXPECT_EQ(counts.units(2), 2);
+  EXPECT_EQ(counts.units(1), 1);
+  EXPECT_EQ(counts.touched(), (std::vector<part_t>{1}));
+  counts.reset();
+  EXPECT_EQ(counts.units(2), 0);
+  EXPECT_EQ(counts.units(1), 0);
+  EXPECT_TRUE(counts.unweighted().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form cut deltas (DESIGN.md §11)
+
+/// Small graph with the shapes the closed form must survive: a star
+/// hub, a triple edge, a reversed duplicate, a self-loop (the build
+/// drops it) and an isolated trailing vertex.
+EdgeList quirky_graph(bool directed) {
+  EdgeList el;
+  el.n = 14;
+  el.directed = directed;
+  for (gid_t leaf = 1; leaf <= 8; ++leaf) el.edges.push_back({0, leaf});
+  for (int i = 0; i < 3; ++i) el.edges.push_back({9, 10});
+  el.edges.push_back({10, 10});
+  el.edges.push_back({1, 2});
+  el.edges.push_back({2, 1});
+  el.edges.push_back({5, 9});
+  el.edges.push_back({11, 12});
+  el.edges.push_back({12, 5});
+  el.edges.push_back({3, 11});
+  return el;  // vertex 13 has no edges
+}
+
+/// Reference: the per-arc cut-delta walk. Each arc (v, u) is an edge
+/// whose cut state counts at both endpoints' parts.
+void walk_cut_deltas(const DistGraph& g, const std::vector<part_t>& parts,
+                     lid_t v, part_t x, part_t w,
+                     std::vector<count_t>& change_c) {
+  for (const lid_t u : g.arcs(v)) {
+    const auto pu = static_cast<std::size_t>(parts[u]);
+    if (parts[u] != x) {
+      --change_c[static_cast<std::size_t>(x)];
+      --change_c[pu];
+    }
+    if (parts[u] != w) {
+      ++change_c[static_cast<std::size_t>(w)];
+      ++change_c[pu];
+    }
+  }
+}
+
+/// v's neighbor counts by direct recount, weighted as the phases do.
+void recount(const DistGraph& g, const std::vector<part_t>& parts, lid_t v,
+             PhaseScan::Weight weight, NeighborCounts& counts) {
+  counts.reset();
+  for (const lid_t u : g.arcs(v))
+    counts.add(parts[u], weight == PhaseScan::Weight::kDegree
+                             ? static_cast<double>(g.degree(u))
+                             : 1.0);
+}
+
+TEST(CutDelta, ClosedFormMatchesArcWalk) {
+  constexpr part_t kParts = 4;
+  for (const int nranks : {1, 2, 3}) {
+    for (const bool directed : {false, true}) {
+      const EdgeList el = quirky_graph(directed);
+      sim::run_world(nranks, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 11));
+        Rng rng(7, static_cast<std::uint64_t>(comm.rank()));
+        std::vector<part_t> parts(g.n_total());
+        for (int trial = 0; trial < 40; ++trial) {
+          for (lid_t l = 0; l < g.n_total(); ++l)
+            parts[l] = static_cast<part_t>(
+                hash_to_bucket(g.gid_of(l), static_cast<std::uint64_t>(trial),
+                               kParts));
+          const auto weight = trial % 2 == 0 ? PhaseScan::Weight::kUnit
+                                             : PhaseScan::Weight::kDegree;
+          PhaseScan scan;
+          scan.scan(g, parts, kParts, weight);
+          NeighborCounts counts(kParts);
+          // Commit-style sweep: random moves, so later vertices load
+          // through both the cache and the dirty (live) path.
+          for (lid_t v = 0; v < g.n_local(); ++v) {
+            scan.load(g, parts, v, counts);
+            const part_t x = parts[v];
+            const auto w = static_cast<part_t>(
+                (x + 1 + static_cast<part_t>(rng.next_below(kParts - 1))) %
+                kParts);
+            std::vector<count_t> closed(kParts, 0);
+            std::vector<count_t> walked(kParts, 0);
+            apply_cut_deltas(g, counts, v, x, w, closed);
+            walk_cut_deltas(g, parts, v, x, w, walked);
+            ASSERT_EQ(closed, walked)
+                << "gid " << g.gid_of(v) << " " << x << "->" << w
+                << " nranks " << nranks << " directed " << directed;
+            if (rng.next_below(2) == 0) {
+              parts[v] = w;
+              scan.mark_moved(g, v);
+            }
+          }
+        }
+      });
+    }
+  }
+}
+
+TEST(CutDelta, LedgerTracksRecountedCutWhenOneRankMoves) {
+  // Undirected: every arc has its reverse stored at the neighbor's
+  // owner, so with one rank moving at a time the summed deltas equal
+  // the change of the recounted Sc exactly.
+  constexpr part_t kParts = 4;
+  const EdgeList el = quirky_graph(false);
+  for (const int nranks : {1, 2, 3}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 3));
+      std::vector<part_t> parts(g.n_total());
+      for (lid_t l = 0; l < g.n_total(); ++l)
+        parts[l] = static_cast<part_t>(hash_to_bucket(g.gid_of(l), 5, kParts));
+      Rng rng(13, static_cast<std::uint64_t>(comm.rank()));
+      NeighborCounts counts(kParts);
+      for (int round = 0; round < 3 * nranks; ++round) {
+        const auto before = compute_cut_sizes(comm, g, parts, kParts);
+        std::vector<count_t> change(kParts, 0);
+        std::vector<lid_t> queue;
+        if (round % nranks == comm.rank()) {
+          for (lid_t v = 0; v < g.n_local(); ++v) {
+            recount(g, parts, v, PhaseScan::Weight::kUnit, counts);
+            const part_t w = static_cast<part_t>(rng.next_below(kParts));
+            if (w == parts[v]) continue;
+            apply_cut_deltas(g, counts, v, parts[v], w, change);
+            parts[v] = w;
+            queue.push_back(v);
+          }
+        }
+        exchange_updates(comm, g, parts, queue);
+        comm.allreduce_sum(change);
+        const auto after = compute_cut_sizes(comm, g, parts, kParts);
+        for (std::size_t i = 0; i < change.size(); ++i)
+          EXPECT_EQ(before[i] + change[i], after[i])
+              << "part " << i << " round " << round;
+      }
+    });
+  }
+}
+
+TEST(PhaseScanCache, ReplayGivesLiveUnitAndWeightCounts) {
+  constexpr part_t kParts = 5;
+  for (const int nranks : {1, 2, 3}) {
+    for (const bool directed : {false, true}) {
+      const EdgeList el = quirky_graph(directed);
+      sim::run_world(nranks, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_dist_graph(comm, el, VertexDist::random(el.n, nranks, 2));
+        std::vector<part_t> parts(g.n_total());
+        for (lid_t l = 0; l < g.n_total(); ++l)
+          parts[l] =
+              static_cast<part_t>(hash_to_bucket(g.gid_of(l), 8, kParts));
+        for (const auto weight :
+             {PhaseScan::Weight::kUnit, PhaseScan::Weight::kDegree}) {
+          PhaseScan cached;
+          cached.scan(g, parts, kParts, weight);
+          // Every vertex dirty: load() recounts live.
+          PhaseScan live;
+          live.scan(g, parts, kParts, weight);
+          for (lid_t v = 0; v < g.n_local(); ++v) live.mark_moved(g, v);
+          NeighborCounts replayed(kParts), recounted(kParts), expect(kParts);
+          for (lid_t v = 0; v < g.n_local(); ++v) {
+            cached.load(g, parts, v, replayed);
+            live.load(g, parts, v, recounted);
+            recount(g, parts, v, weight, expect);
+            EXPECT_FALSE(cached.dirty(v));
+            EXPECT_EQ(replayed.touched(), expect.touched());
+            EXPECT_EQ(recounted.touched(), expect.touched());
+            for (part_t p = 0; p < kParts; ++p) {
+              EXPECT_EQ(replayed.units(p), expect.units(p))
+                  << "gid " << g.gid_of(v);
+              EXPECT_EQ(recounted.units(p), expect.units(p));
+              EXPECT_EQ(replayed.get(p), expect.get(p));
+              EXPECT_EQ(recounted.get(p), expect.get(p));
+            }
+          }
+        }
+      });
+    }
+  }
 }
 
 TEST(CanLeave, WorstCaseBound) {
