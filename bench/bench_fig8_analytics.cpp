@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "analytics/analytics.hpp"
-#include "analytics/detail.hpp"
 #include "analytics/programs.hpp"
 #include "baseline/partitioners.hpp"
 #include "bench/bench_common.hpp"
@@ -113,48 +112,52 @@ int main() {
       const auto gd = graph::build_dist_graph(comm, directed, dist);
       comm.barrier();
 
-      // The dense kernels run directly through engine::run so the one
-      // Config reaches every kernel (the legacy wrappers only accept
-      // their historical knob subsets).
-      const auto& as_info = analytics::detail::to_run_info;
-      analytics::RunInfo infos[kAnalyticCount];
-      infos[0] = analytics::harmonic_centrality(comm, g, 8, 5, cfg).info;
+      // Every kernel runs under the one Config. The fixed-iteration
+      // programs (PageRank, triangle count) get a superstep cap and no
+      // coalescing: the coalesced changed-value refresh only applies
+      // to change-converging programs, and engine::run rejects it on
+      // the others.
+      engine::Config fixed = cfg;
+      fixed.coalesce_every = 0;
+      engine::Stats stats[kAnalyticCount];
+      stats[0] = analytics::harmonic_centrality(comm, g, 8, 5, cfg).stats;
       {
         analytics::KCoreProgram kc;
         engine::Config c = cfg;
         c.max_supersteps = 15;
-        infos[1] = as_info(engine::run(comm, g, kc, c));
+        stats[1] = engine::run(comm, g, kc, c);
       }
       {
         analytics::CommLpProgram lp;
         engine::Config c = cfg;
         c.max_supersteps = 10;
-        infos[2] = as_info(engine::run(comm, g, lp, c));
+        stats[2] = engine::run(comm, g, lp, c);
       }
       {
         analytics::PageRankProgram pr;
-        engine::Config c = cfg;
+        engine::Config c = fixed;
         c.max_supersteps = 20;
-        // PageRank ships fresh fractional contributions every
-        // superstep; the coalesced changed-value refresh only applies
-        // to change-converging programs.
-        c.coalesce_every = 0;
-        infos[3] = as_info(engine::run(comm, g, pr, c));
+        stats[3] = engine::run(comm, g, pr, c);
       }
-      infos[4] = analytics::largest_scc(comm, gd, cfg).info;
+      stats[4] = analytics::largest_scc(comm, gd, cfg).stats;
       {
         analytics::WccProgram wcc;
-        infos[5] = as_info(engine::run(comm, g, wcc, cfg));
+        stats[5] = engine::run(comm, g, wcc, cfg);
       }
-      infos[6] = analytics::sssp(comm, g, /*root=*/0, /*delta=*/8,
-                                 /*max_weight=*/16, /*weight_seed=*/1, cfg)
-                     .info;
-      infos[7] =
-          analytics::triangle_count(comm, g, /*sample_cap=*/64, 1, cfg)
-              .info;
+      {
+        analytics::DeltaSsspProgram sssp;  // root 0, delta 8
+        stats[6] = engine::run(comm, g, sssp, cfg);
+      }
+      {
+        analytics::TriangleCountProgram tc;
+        tc.sample_cap = 64;
+        engine::Config c = fixed;
+        c.max_supersteps = 1;
+        stats[7] = engine::run(comm, g, tc, c);
+      }
       for (int a = 0; a < kAnalyticCount; ++a) {
-        const double t = -comm.allreduce_min(-infos[a].seconds);
-        const count_t b = comm.allreduce_sum(infos[a].comm_bytes);
+        const double t = -comm.allreduce_min(-stats[a].seconds);
+        const count_t b = comm.allreduce_sum(stats[a].comm_bytes);
         if (comm.rank() == 0) {
           run.analytic_seconds[a] = t;
           run.analytic_bytes[a] = b;
@@ -193,11 +196,13 @@ int main() {
   }
   std::printf(
       "\n'total' includes partitioning time, as in the paper's end-to-end\n"
-      "comparison. On this one-core substrate computation dominates, so\n"
-      "analytic times differ by less than the comm column; on the paper's\n"
-      "cluster communication dominates and the comm-volume ordering above\n"
-      "(XtraPuLP < blocks < random) is what becomes the ~30%% end-to-end\n"
-      "win. Partitioning time here is also ~nranks x a real cluster's\n"
-      "(all ranks share the core).\n");
+      "comparison. Ranks here are threads of one process, so messages\n"
+      "are memory copies: computation dominates and analytic times differ\n"
+      "by less than the comm column. On the paper's cluster communication\n"
+      "dominates and the comm-volume ordering above (XtraPuLP < blocks <\n"
+      "random) is what becomes the ~30%% end-to-end win. Partitioning\n"
+      "time is also inflated whenever the %d ranks outnumber the host's\n"
+      "cores, which then share them.\n",
+      nranks);
   return 0;
 }

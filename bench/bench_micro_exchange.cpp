@@ -18,7 +18,6 @@
 #include <map>
 #include <string>
 
-#include "analytics/analytics.hpp"
 #include "analytics/programs.hpp"
 #include "comm/coalescing.hpp"
 #include "core/exchange.hpp"
@@ -505,14 +504,21 @@ void BM_AnalyticsPipelined(benchmark::State& state) {
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       comm.barrier();
       comm.reset_stats();
-      const analytics::RunInfo info =
-          kcore ? analytics::kcore_approx(comm, g, 8, depth).info
-                : analytics::pagerank(comm, g, 10, 0.85, depth).info;
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        const auto iters = static_cast<double>(info.supersteps);
-        note_world(row, world, iters);
+      engine::Config cfg;
+      cfg.pipeline_depth = depth;
+      engine::Stats st;
+      if (kcore) {
+        analytics::KCoreProgram p;
+        cfg.max_supersteps = 8;
+        st = engine::run(comm, g, p, cfg);
+      } else {
+        analytics::PageRankProgram p;
+        cfg.max_supersteps = 10;
+        st = engine::run(comm, g, p, cfg);
       }
+      const sim::CommStats world = comm.world_stats();
+      if (comm.rank() == 0)
+        note_world(row, world, static_cast<double>(st.supersteps));
     });
   }
   state.counters["bytes/iter"] = row.bytes_per_iter;
@@ -545,16 +551,14 @@ void BM_CommLpCoalesced(benchmark::State& state) {
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       comm.barrier();
       comm.reset_stats();
-      const analytics::RunInfo info =
-          analytics::label_propagation(comm, g, 10,
-                                       xtra::comm::ShardPolicy::kFlat,
-                                       coalesce_every)
-              .info;
+      analytics::CommLpProgram p;
+      engine::Config cfg;
+      cfg.max_supersteps = 10;
+      cfg.coalesce_every = coalesce_every;
+      const engine::Stats st = engine::run(comm, g, p, cfg);
       const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        const auto iters = static_cast<double>(info.supersteps);
-        note_world(row, world, iters);
-      }
+      if (comm.rank() == 0)
+        note_world(row, world, static_cast<double>(st.supersteps));
     });
   }
   state.counters["colls/iter"] = row.collectives_per_iter;
@@ -594,15 +598,9 @@ void BM_CommLpPipelined(benchmark::State& state) {
 }
 BENCHMARK(BM_CommLpPipelined)->Args({8, 1})->Args({8, 2});
 
-/// Engine-vs-wrapper twins: PageRank and community-LP executed
-/// directly through engine::run (explicit program + Config) against
-/// the wrapper-driven rows above (pagerank_blocking /
-/// commlp_uncoalesced). The check script enforces the absolute
-/// contract that the direct rows move no more bytes and collectives
-/// per superstep than the wrapper rows — the wrappers must stay a
-/// zero-cost veneer over the engine. (The engine itself is pinned
-/// against the pre-engine hand-rolled kernels by the frozen baseline
-/// numbers those kernels recorded.)
+/// PageRank and community-LP at default transport knobs on the
+/// two-sided and the one-sided backend: the _onesided rows are pinned
+/// against their two-sided partners by the check script.
 void BM_EngineTwin(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const bool commlp = state.range(1) != 0;
@@ -735,13 +733,12 @@ void BM_SsspFrontier(benchmark::State& state) {
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       comm.barrier();
       comm.reset_stats();
-      const analytics::RunInfo info =
-          analytics::sssp(comm, g, /*root=*/0, delta).info;
+      analytics::DeltaSsspProgram p;
+      p.delta = delta;
+      const engine::Stats st = engine::run(comm, g, p);
       const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        const auto iters = static_cast<double>(info.supersteps);
-        note_world(row, world, iters);
-      }
+      if (comm.rank() == 0)
+        note_world(row, world, static_cast<double>(st.supersteps));
     });
   }
   state.counters["bytes/iter"] = row.bytes_per_iter;
@@ -765,12 +762,12 @@ void BM_TriangleQuery(benchmark::State& state) {
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
       comm.barrier();
       comm.reset_stats();
+      analytics::TriangleCountProgram p;
+      p.sample_cap = 64;
       engine::Config cfg;
       cfg.max_exchange_bytes = bound;
-      const analytics::RunInfo info =
-          analytics::triangle_count(comm, g, /*sample_cap=*/64, 1, cfg)
-              .info;
-      (void)info;
+      cfg.max_supersteps = 1;
+      engine::run(comm, g, p, cfg);
       const sim::CommStats world = comm.world_stats();
       if (comm.rank() == 0) note_world(row, world, 1.0);
     });

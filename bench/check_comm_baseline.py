@@ -39,20 +39,7 @@ wire bytes per iteration than the two-sided twin, and must actually
 bill one-sided traffic (a zero one_sided_bytes_per_iter means the
 backend knob silently fell back to push mode).
 
-The unified engine carries a third absolute contract: the
-pagerank_engine / commlp_engine rows (kernels executed directly via
-engine::run with an explicit Config) must move no more bytes or
-collectives per superstep than the pagerank_blocking /
-commlp_uncoalesced rows, which run the same workload through the
-legacy-named analytics:: wrappers. Both paths execute the engine
-today, so this pins the *wrapper layer* against diverging from a
-direct engine::run (a wrapper that grows extra collectives or
-mis-maps a knob fails here); the guard against the engine itself
-regressing relative to the pre-engine hand-rolled kernels is the
-frozen baseline numbers, which were recorded from those kernels and
-verified drift-free at the migration.
-
-The MPI+X rows carry a fourth absolute contract: every *_tN row
+The MPI+X rows carry a third absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
 wire metric — bytes, collectives, and the topology split. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
@@ -60,7 +47,7 @@ means a worker thread raced the wire accounting, and no baseline
 tolerance excuses it.
 
 The out-of-core rows (pagerank_segcache_q25 / _q100 and their _nopf
-twins) carry a fifth absolute contract: every prefetch-on row must
+twins) carry a fourth absolute contract: every prefetch-on row must
 report strictly lower seg_stall_seconds than its prefetch-off twin and
 must land at least one prefetch hit — the superstep-driven plan exists
 to convert demand stalls into overlap, and both runs see the same
@@ -116,13 +103,6 @@ COMPARED = ("bytes_per_iter", "collectives_per_iter",
 HIER_PAIRS = ("sharded_updates_hier", "sharded_updates_flat")
 HIER_MIN_RANKS = 16
 COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
-# Engine rows (direct engine::run) vs the legacy-named wrapper rows
-# running the same workload: pins the wrapper layer to a direct
-# engine::run (see the docstring). Keyed engine-row -> twin-row bench
-# name; nranks/max_send_bytes must match.
-ENGINE_TWINS = {"pagerank_engine": "pagerank_blocking",
-                "commlp_engine": "commlp_uncoalesced"}
-ENGINE_SLACK = 1.001  # strict equality modulo float formatting
 # MPI+X rows: "<workload>_threads_tN". N > 1 rows must equal the _t1
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
@@ -289,33 +269,6 @@ def check_coalesce_contract(current):
     if pairs == 0:
         failures.append(
             f"no ({co_name}, {unco_name}) pairs in the current run")
-    return failures
-
-
-def check_engine_contract(current):
-    """Direct engine::run rows may move no more bytes/collectives per
-    superstep than the wrapper-driven twins on the same workload (the
-    wrapper layer must stay a zero-cost veneer over the engine)."""
-    failures = []
-    pairs = 0
-    for key, row in current.items():
-        twin_name = ENGINE_TWINS.get(key[0])
-        if twin_name is None:
-            continue
-        twin = current.get((twin_name, key[1], key[2]))
-        if twin is None:
-            failures.append(f"{key}: no {twin_name} twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        for metric in ("bytes_per_iter", "collectives_per_iter"):
-            e, t = (r.get(metric, 0.0) for r in (row, twin))
-            if e > t * ENGINE_SLACK:
-                failures.append(
-                    f"{key}: {metric} {e:.2f} exceeds legacy twin "
-                    f"{twin_name}'s {t:.2f}")
-    if pairs == 0:
-        failures.append("no engine-twin pairs in the current run")
     return failures
 
 
@@ -661,7 +614,6 @@ def main():
 
     failures += check_hier_contract(current)
     failures += check_coalesce_contract(current)
-    failures += check_engine_contract(current)
     failures += check_thread_contract(current)
     failures += check_depth_contract(current)
     failures += check_onesided_contract(current)
@@ -688,7 +640,7 @@ def main():
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
           f"{args.tolerance:.0%}; hierarchical inter-node, coalesced "
-          f"commLP, engine-twin, thread-twin, pipeline-depth, "
+          f"commLP, thread-twin, pipeline-depth, "
           f"one-sided, and segcache-prefetch contracts held" + serving
           + parity)
 

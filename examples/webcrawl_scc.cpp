@@ -7,8 +7,9 @@
 // *directed* graph is redistributed by the computed partition before
 // running the engine-native kernels — largest_scc with an
 // engine::Config (trim + forward/backward reachability, all riding
-// the config's transport knobs), WCC as a WccProgram under
-// engine::run, and the new delta-capped SSSP from the crawl root.
+// the config's transport knobs), and WCC and the delta-capped SSSP
+// from the crawl root as programs under engine::run.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -64,9 +65,17 @@ int main(int argc, char** argv) {
     analytics::WccProgram wcc;
     const engine::Stats wcc_st = engine::run(comm, g, wcc, cfg);
 
-    const analytics::SsspResult paths =
-        analytics::sssp(comm, g, /*root=*/0, /*delta=*/8,
-                        /*max_weight=*/16, /*weight_seed=*/1, cfg);
+    analytics::DeltaSsspProgram paths;  // root 0, delta 8
+    const engine::Stats paths_st = engine::run(comm, g, paths, cfg);
+    count_t reached = 0;
+    count_t max_dist = 0;
+    for (lid_t v = 0; v < g.n_local(); ++v)
+      if (paths.dist[v] != analytics::kInfDist) {
+        ++reached;
+        max_dist = std::max(max_dist, paths.dist[v]);
+      }
+    reached = comm.allreduce_sum(reached);
+    max_dist = comm.allreduce_max(max_dist);
 
     if (comm.rank() == 0) {
       std::printf("largest SCC: %lld of %llu vertices (%.1f%%)\n",
@@ -78,13 +87,13 @@ int main(int argc, char** argv) {
                   static_cast<long long>(wcc.num_components),
                   static_cast<long long>(wcc.largest_size));
       std::printf("SCC supersteps: %lld, comm: %.1f KB/rank avg\n",
-                  static_cast<long long>(scc.info.supersteps),
-                  static_cast<double>(scc.info.comm_bytes) / 1024.0);
+                  static_cast<long long>(scc.stats.supersteps),
+                  static_cast<double>(scc.stats.comm_bytes) / 1024.0);
       std::printf("SSSP from crawl root: reached %lld, max dist %lld "
                   "(%lld supersteps)\n",
-                  static_cast<long long>(paths.reached),
-                  static_cast<long long>(paths.max_dist),
-                  static_cast<long long>(paths.info.supersteps));
+                  static_cast<long long>(reached),
+                  static_cast<long long>(max_dist),
+                  static_cast<long long>(paths_st.supersteps));
       std::printf("WCC engine stats: %s\n", wcc_st.to_json().c_str());
     }
   });

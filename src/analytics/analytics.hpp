@@ -1,177 +1,49 @@
-// Distributed graph analytics — the six workloads of Fig 8 (algorithms
-// follow Slota et al. [29], the paper's companion analytics study)
-// plus the two engine-native ones (delta-capped SSSP, approximate
-// triangle count). Every analytic is bulk-synchronous over mpisim:
-// local compute + halo exchange per superstep, so execution time and
-// communication volume respond to the partition quality exactly as in
-// the paper.
-//
-// Every kernel executes through the unified vertex-program engine
-// (engine/engine.hpp): the preferred API is
-//   engine::run(comm, g, program, engine::Config{...})
-// with the program structs of analytics/programs.hpp, which inherits
-// every transport knob (shard policy, chunk size, pipeline depth,
-// coalescing) uniformly. The entry points below are kept as thin
-// wrappers — bit-identical to engine::run at their default knobs —
-// for callers of the historical per-kernel signatures; composite
-// kernels (harmonic centrality, SCC) additionally take an
-// engine::Config overload, which is their engine-native form.
-//
-// Each run reports wall seconds and the bytes this rank sent (callers
-// aggregate via Comm::global_bytes_sent-style reductions).
+// The two composite analytics of Fig 8 (algorithms follow Slota et
+// al. [29], the paper's companion analytics study). Every single-run
+// kernel — PageRank, WCC, label propagation, k-core, delta-capped
+// SSSP, triangle count — is a program struct in analytics/programs.hpp
+// run directly through engine::run(comm, g, program, cfg); its result
+// state lives in the program. The two functions below chain several
+// engine runs plus glue collectives, so they stay free functions: cfg
+// reaches every run they issue, and each reports the folded
+// engine::Stats of those runs.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "comm/shard_policy.hpp"
 #include "engine/config.hpp"
+#include "engine/stats.hpp"
 #include "graph/dist_graph.hpp"
 #include "mpisim/comm.hpp"
 
 namespace xtra::analytics {
 
-/// Measurement common to all analytics.
-struct RunInfo {
-  double seconds = 0.0;
-  count_t comm_bytes = 0;  ///< bytes sent by this rank
-  count_t supersteps = 0;
-};
-
-/// PageRank (PR): up to `iters` damped power iterations over the
-/// undirected adjacency (the paper treats all edges as undirected).
-/// `pipeline_depth` selects the cross-superstep ghost pipeline
-/// (graph::SuperstepPipeline): 0 drains each superstep's contribution
-/// exchange in-step (bit-identical to the blocking path); >= 1 carries
-/// it into the next superstep, so the rank update reads ghost
-/// contributions up to one superstep stale — the damped iteration
-/// still contracts to the same fixed point. `tol` > 0 adds a
-/// residual-based stop (sum |rank' - rank| <= tol, one allreduce per
-/// superstep); 0 keeps the fixed-iteration contract.
-struct PageRankResult {
-  RunInfo info;
-  std::vector<double> rank;  ///< size n_total (ghost entries refreshed)
-  double sum = 0.0;          ///< global rank mass (~1.0)
-};
-PageRankResult pagerank(sim::Comm& comm, const graph::DistGraph& g,
-                        int iters = 20, double damping = 0.85,
-                        int pipeline_depth = 0, double tol = 0.0);
-
-/// Weakly connected components (WCC) via min-label hooking. `policy`
-/// routes the per-superstep ghost refresh flat or hierarchically
-/// (identical results either way).
-struct ComponentsResult {
-  RunInfo info;
-  std::vector<gid_t> component;  ///< size n_total, component root gid
-  count_t num_components = 0;
-  count_t largest_size = 0;
-};
-ComponentsResult weakly_connected_components(
-    sim::Comm& comm, const graph::DistGraph& g,
-    comm::ShardPolicy policy = comm::ShardPolicy::kFlat);
-
-/// Label-propagation community detection (LP): `sweeps` synchronous
-/// majority-label rounds. `policy` as for WCC. `coalesce_every` > 0
-/// switches the ghost refresh from a full per-sweep halo exchange to
-/// sparse changed-label updates batched in a comm::CoalescingExchanger
-/// and flushed every `coalesce_every` sweeps (and at convergence), so
-/// peers read labels up to coalesce_every-1 sweeps stale between
-/// flushes — the majority vote tolerates the lag, and the wire moves
-/// strictly fewer collectives per sweep. coalesce_every == 1 delivers
-/// every sweep and is bit-identical to the default path.
-struct CommunityResult {
-  RunInfo info;
-  std::vector<gid_t> label;  ///< size n_total
-  count_t num_communities = 0;
-};
-CommunityResult label_propagation(
-    sim::Comm& comm, const graph::DistGraph& g, int sweeps = 10,
-    comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
-    int coalesce_every = 0);
-
-/// Approximate k-core decomposition (KC): iterated synchronous
-/// neighborhood h-index (Lü et al.), which converges to the exact
-/// coreness; `rounds` caps the iteration count. `pipeline_depth` as
-/// for pagerank(): at depth >= 1 the ghost refresh is delivered one
-/// round late, and since the sweep reads the previous round's
-/// snapshot, a ghost value read by the update can be up to *two*
-/// rounds old. Stale values are older (hence larger) upper bounds, so
-/// the contraction still reaches the same coreness, possibly a few
-/// rounds later; convergence additionally quiesces the in-flight
-/// decrements.
-struct KCoreResult {
-  RunInfo info;
-  std::vector<count_t> core;  ///< size n_total
-  count_t max_core = 0;
-};
-KCoreResult kcore_approx(sim::Comm& comm, const graph::DistGraph& g,
-                         int rounds = 20, int pipeline_depth = 0);
-
 /// Harmonic centrality (HC) of `num_sources` sampled vertices:
 /// HC(v) = sum_u 1/d(u,v). All sources run as ONE batched
 /// multi-source BFS (MultiBfsProgram slots — one sweep and one
-/// exchange per level for the whole sample, bit-identical to the
-/// retired per-source loop). The Config overload is the engine-native
-/// form: cfg routes the shared notification exchange (shard policy,
-/// chunk size).
+/// exchange per level for the whole sample, bit-identical to a
+/// per-source loop of BfsProgram runs).
 struct HarmonicResult {
-  RunInfo info;
+  engine::Stats stats;  ///< the batched BFS run
   std::vector<gid_t> sources;
   std::vector<double> centrality;  ///< aligned with sources
 };
 HarmonicResult harmonic_centrality(sim::Comm& comm,
                                    const graph::DistGraph& g,
-                                   int num_sources, std::uint64_t seed,
-                                   const engine::Config& cfg);
-HarmonicResult harmonic_centrality(sim::Comm& comm,
-                                   const graph::DistGraph& g,
                                    int num_sources = 16,
-                                   std::uint64_t seed = 1);
+                                   std::uint64_t seed = 1,
+                                   const engine::Config& cfg = {});
 
 /// Largest strongly connected component extraction (SCC) on a
 /// *directed* graph: trim + forward/backward BFS from a max-degree
-/// pivot (the MultiStep scheme of [29], first stage). The Config
-/// overload is the engine-native form: cfg routes the trim's halo
-/// refresh and both BFS notification exchanges.
+/// pivot (the MultiStep scheme of [29], first stage).
 struct SccResult {
-  RunInfo info;
+  engine::Stats stats;  ///< trim + forward + backward runs, folded
   std::vector<std::uint8_t> in_scc;  ///< size n_total, 1 if in largest SCC
   count_t scc_size = 0;
 };
 SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
-                      const engine::Config& cfg);
-SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g);
-
-/// Delta-capped single-source shortest paths (SSSP) over the
-/// deterministic synthetic edge weights of
-/// analytics::edge_weight(a, b, weight_seed, max_weight): each
-/// superstep expands only frontier vertices within the current
-/// distance threshold (bucket width `delta`), deferring the rest — a
-/// delta-stepping-style cap on per-superstep relaxation work. dist is
-/// kInfDist (see programs.hpp) for unreachable vertices.
-struct SsspResult {
-  RunInfo info;
-  std::vector<count_t> dist;  ///< size n_total (ghost entries best-known)
-  count_t reached = 0;        ///< vertices with a finite distance
-  count_t max_dist = 0;       ///< largest finite distance (global)
-};
-SsspResult sssp(sim::Comm& comm, const graph::DistGraph& g, gid_t root,
-                count_t delta = 8, count_t max_weight = 16,
-                std::uint64_t weight_seed = 1,
-                const engine::Config& cfg = {});
-
-/// Approximate triangle count (TC): every owned vertex stages closure
-/// queries for its wedges (all of them, or a deterministic unbiased
-/// sample of `sample_cap` past the cap) through a query_reply round
-/// trip to the smaller endpoint's owner. Exact when no vertex exceeds
-/// the cap.
-struct TriangleResult {
-  RunInfo info;
-  double triangles = 0.0;       ///< global (estimated) triangle count
-  count_t sampled_centers = 0;  ///< vertices that hit the sample cap
-};
-TriangleResult triangle_count(sim::Comm& comm, const graph::DistGraph& g,
-                              count_t sample_cap = 256,
-                              std::uint64_t seed = 1,
-                              const engine::Config& cfg = {});
+                      const engine::Config& cfg = {});
 
 }  // namespace xtra::analytics

@@ -1,5 +1,4 @@
 #include "analytics/analytics.hpp"
-#include "analytics/detail.hpp"
 #include "analytics/programs.hpp"
 #include "engine/engine.hpp"
 #include "util/rng.hpp"
@@ -11,7 +10,6 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
                                    int num_sources, std::uint64_t seed,
                                    const engine::Config& cfg) {
   HarmonicResult result;
-  detail::Meter meter(comm, result.info);
 
   // Deterministic source sample every rank can compute without
   // communication.
@@ -24,11 +22,11 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
   // so all N traversals share each level's sweep, exchange, and
   // termination allreduce. Slots never interact, so slot s's levels —
   // and hence each centrality sum below, accumulated in the same lid
-  // order and reduced in the same rank order — are bit-identical to
-  // the retired per-source loop's.
+  // order and reduced in the same rank order — are bit-identical to a
+  // per-source loop's.
   MultiBfsProgram bfs;
   bfs.roots = result.sources;
-  engine::run(comm, g, bfs, cfg);
+  result.stats = engine::run(comm, g, bfs, cfg);
 
   std::vector<double> local(result.sources.size(), 0.0);
   for (std::size_t s = 0; s < result.sources.size(); ++s) {
@@ -41,16 +39,7 @@ HarmonicResult harmonic_centrality(sim::Comm& comm,
   }
   comm.allreduce_sum(local);
   result.centrality = std::move(local);
-  // The legacy meter summed each source's eccentricity (the levels
-  // that source ran); keep the field's meaning across the migration.
-  for (const count_t e : bfs.ecc) result.info.supersteps += e;
   return result;
-}
-
-HarmonicResult harmonic_centrality(sim::Comm& comm,
-                                   const graph::DistGraph& g,
-                                   int num_sources, std::uint64_t seed) {
-  return harmonic_centrality(comm, g, num_sources, seed, engine::Config{});
 }
 
 }  // namespace xtra::analytics

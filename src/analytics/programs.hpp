@@ -7,9 +7,10 @@
 // engine::run(comm, g, program, cfg) (see engine/engine.hpp for the
 // contract): the engine owns the superstep loop, the halo plan, the
 // pipeline/coalescing transports, and the convergence collectives;
-// the program owns only its per-vertex update and its result state.
-// The legacy analytics:: entry points in analytics.hpp are thin
-// wrappers over these, bit-identical at default knobs.
+// the program owns only its per-vertex update and its result state,
+// which callers read after the run. PageRank and the triangle counter
+// are fixed-iteration programs: engine::run rejects them without
+// cfg.max_supersteps (the triangle counter needs exactly one).
 #pragma once
 
 #include <algorithm>

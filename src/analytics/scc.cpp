@@ -1,21 +1,32 @@
 #include <limits>
 
 #include "analytics/analytics.hpp"
-#include "analytics/detail.hpp"
 #include "analytics/programs.hpp"
 #include "engine/engine.hpp"
 
 namespace xtra::analytics {
 
+namespace {
+
+/// Fold one stage's engine run into the composite's measurement.
+void add_stage(engine::Stats& total, const engine::Stats& stage) {
+  total.seconds += stage.seconds;
+  total.comm_bytes += stage.comm_bytes;
+  total.supersteps += stage.supersteps;
+  total.num_threads = stage.num_threads;
+  total.exchange.merge_from(stage.exchange);
+}
+
+}  // namespace
+
 SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
                       const engine::Config& cfg) {
   SccResult result;
-  detail::Meter meter(comm, result.info);
 
   // --- Trim (MultiStep stage 1): peel vertices with no live in- or
   // out-neighbor; the surviving active set is a unique fixpoint.
   SccTrimProgram trim;
-  result.info.supersteps += engine::run(comm, g, trim, cfg).supersteps;
+  add_stage(result.stats, engine::run(comm, g, trim, cfg));
   const std::vector<std::uint8_t>& active = trim.active;
 
   // --- Pivot: the highest-degree active vertex (globally agreed).
@@ -42,8 +53,8 @@ SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
   fw.root = bw.root = pivot;
   fw.active = bw.active = &active;
   bw.use_in_edges = true;
-  result.info.supersteps += engine::run(comm, g, fw, cfg).supersteps;
-  result.info.supersteps += engine::run(comm, g, bw, cfg).supersteps;
+  add_stage(result.stats, engine::run(comm, g, fw, cfg));
+  add_stage(result.stats, engine::run(comm, g, bw, cfg));
 
   result.in_scc.assign(g.n_total(), 0);
   count_t local_size = 0;
@@ -55,10 +66,6 @@ SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g,
   }
   result.scc_size = comm.allreduce_sum(local_size);
   return result;
-}
-
-SccResult largest_scc(sim::Comm& comm, const graph::DistGraph& g) {
-  return largest_scc(comm, g, engine::Config{});
 }
 
 }  // namespace xtra::analytics

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "comm/backend.hpp"
 #include "comm/shard_policy.hpp"
@@ -52,6 +54,7 @@ struct Config {
   /// values up to coalesce_every-1 supersteps stale between flushes;
   /// coalesce_every == 1 delivers every superstep and is bit-identical
   /// to the full refresh. Takes precedence over pipeline_depth.
+  /// engine::run throws if a fixed-iteration dense program gets > 0.
   int coalesce_every = 0;
 
   /// Residual stop for fixed-iteration dense programs (PageRank):
@@ -77,8 +80,8 @@ struct Config {
 
   /// Superstep cap. kUnbounded (the default) runs change-converging
   /// programs to convergence; fixed-iteration programs must set a
-  /// non-negative cap (0 runs no supersteps at all — init and finish
-  /// only, the legacy zero-iteration contract).
+  /// non-negative cap or engine::run throws (0 runs no supersteps at
+  /// all — init and finish only).
   static constexpr count_t kUnbounded = -1;
   count_t max_supersteps = kUnbounded;
 
@@ -98,6 +101,25 @@ struct Config {
 };
 
 namespace detail {
+
+/// Entry check every driver runs before its first collective: throws
+/// std::invalid_argument for knob values the program cannot run under.
+/// Every rank holds the same cfg, so every rank throws and none waits.
+/// `fixed_iteration`: a dense program that stops only at the cap.
+inline void validate(const Config& cfg, bool fixed_iteration) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("engine::Config: ") + what);
+  };
+  if (cfg.num_threads < 1) reject("num_threads must be >= 1");
+  if (cfg.pipeline_depth < 0) reject("pipeline_depth must be >= 0");
+  if (cfg.coalesce_every < 0) reject("coalesce_every must be >= 0");
+  if (cfg.max_exchange_bytes < 0) reject("max_exchange_bytes must be >= 0");
+  if (cfg.cache_budget_bytes < 0) reject("cache_budget_bytes must be >= 0");
+  if (fixed_iteration && cfg.max_supersteps < 0)
+    reject("fixed-iteration programs need max_supersteps");
+  if (fixed_iteration && cfg.coalesce_every > 0)
+    reject("coalesce_every > 0 requires a change-converging program");
+}
 
 /// The loop bound cfg.max_supersteps encodes (negative = unbounded).
 inline count_t superstep_limit(const Config& cfg) {

@@ -40,7 +40,8 @@
 //    set ctx.changed — with an in-flight refresh (depth >= 1) or
 //    pending coalesced rounds, the engine first flushes and re-checks
 //    whether any ghost moved (the k-core quiesce, generalized).
-//  * fixed-iteration (PageRank): run cfg.max_supersteps supersteps;
+//  * fixed-iteration (PageRank, triangle count): run
+//    cfg.max_supersteps supersteps, which such a program must set;
 //    cfg.tol > 0 adds a residual allreduce and stops early when the
 //    program-accumulated ctx.residual drops to tol.
 //
@@ -406,7 +407,7 @@ void run_dense_coalesced(sim::Comm& comm, const graph::DistGraph& g, P& p,
   // pending so ghosts match their owners' last state. pending_rounds
   // advances identically on every rank, so the branch is collective.
   if (co.pending_rounds() > 0) (void)deliver(co.flush<Update>(comm));
-  merge(stats.exchange, co.stats());
+  stats.exchange.merge_from(co.stats());
 }
 
 /// Local-only superstep loop for programs that publish no per-vertex
@@ -464,6 +465,7 @@ inline void install_dense_prefetch_plan(const graph::DistGraph& g,
 template <typename P>
 Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
                 const Config& cfg) {
+  detail::validate(cfg, !detail::converge_on_change<P>());
   Stats stats;
   // Ambient thread width for every chunked sweep the run issues
   // (engine sweeps, program hooks via par::for_chunks/ordered_sum).
@@ -487,19 +489,13 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
                       static_cast<std::size_t>(g.n_total()),
                   "init() must size ctx.values to n_total");
   if constexpr (detail::uses_prev<P>()) ctx.prev = ctx.values;
-  XTRA_ASSERT_MSG(detail::converge_on_change<P>() ||
-                      cfg.max_supersteps >= 0,
-                  "fixed-iteration programs need cfg.max_supersteps");
 
   if constexpr (!detail::exchanges_values<P>()) {
     detail::run_dense_local(comm, g, p, cfg, ctx);
   } else if (cfg.coalesce_every > 0) {
+    // Fixed-iteration programs never get here: rejected at entry.
     if constexpr (detail::converge_on_change<P>())
       detail::run_dense_coalesced(comm, g, p, cfg, ctx, stats);
-    else
-      XTRA_ASSERT_MSG(false,
-                      "coalesce_every > 0 requires a change-converging "
-                      "program");
   } else {
     detail::run_dense_pipelined(comm, g, p, cfg, ctx);
   }
@@ -507,8 +503,8 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
 
   stats.supersteps = ctx.superstep;
-  if (halo) merge(stats.exchange, halo->stats());
-  if (ctx.aux_) merge(stats.exchange, ctx.aux_->stats());
+  if (halo) stats.exchange.merge_from(halo->stats());
+  if (ctx.aux_) stats.exchange.merge_from(ctx.aux_->stats());
   detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
   stats.seconds = timer.seconds();
   stats.comm_bytes = comm.stats().bytes_sent - start_bytes;

@@ -21,13 +21,14 @@
 //    travelling as program-defined wire records. See
 //    engine/frontier.hpp.
 //
-// Both return engine::Stats — RunInfo's triple merged with the
-// aggregated ExchangeStats ledger of every wire engine the run owned,
-// JSON-exportable. The concrete programs for the paper's six Fig-8
-// workloads plus the two engine-native ones (delta-capped SSSP,
-// query-based approximate triangle count) live in
-// analytics/programs.hpp; the legacy analytics:: entry points are
-// thin deprecated wrappers over them, bit-identical at default knobs.
+// Every mode returns engine::Stats — wall seconds, bytes sent and
+// supersteps, plus the aggregated ExchangeStats ledger of every wire
+// engine the run owned, JSON-exportable. A Config no driver accepts
+// throws std::invalid_argument at entry, before any collective, so
+// every rank throws and none waits. The concrete programs for the
+// paper's six Fig-8 workloads plus the two engine-native ones
+// (delta-capped SSSP, query-based approximate triangle count) live in
+// analytics/programs.hpp.
 #pragma once
 
 #include <concepts>
@@ -80,7 +81,9 @@ concept MultiSourceVertexProgram =
 
 /// Collective: execute a vertex program under cfg's transport knobs.
 /// Result state lives in the program object; returns the unified
-/// measurement.
+/// measurement. Throws std::invalid_argument, on every rank and before
+/// any collective, when cfg is invalid for the program (see
+/// detail::validate).
 template <DenseVertexProgram P>
 Stats run(sim::Comm& comm, const graph::DistGraph& g, P& p,
           const Config& cfg = {}) {

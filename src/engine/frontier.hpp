@@ -73,6 +73,7 @@ struct FrontierContext {
 template <typename P>
 Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
                    const Config& cfg) {
+  detail::validate(cfg, /*fixed_iteration=*/false);
   Stats stats;
   // Ambient thread width for the stepper's parallel expansion scan.
   par::ThreadScope threads(cfg.num_threads);
@@ -112,7 +113,7 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
 
   stats.supersteps = ctx.superstep;
-  merge(stats.exchange, stepper.exchanger().stats());
+  stats.exchange.merge_from(stepper.exchanger().stats());
   detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
   stats.seconds = timer.seconds();
   stats.comm_bytes = comm.stats().bytes_sent - start_bytes;
@@ -150,6 +151,7 @@ struct MultiFrontierContext {
 template <typename P>
 Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
                          const Config& cfg) {
+  detail::validate(cfg, /*fixed_iteration=*/false);
   Stats stats;
   par::ThreadScope threads(cfg.num_threads);
   stats.num_threads = par::num_threads();
@@ -196,7 +198,7 @@ Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);
 
   stats.supersteps = ctx.superstep;
-  merge(stats.exchange, stepper.exchanger().stats());
+  stats.exchange.merge_from(stepper.exchanger().stats());
   detail::fold_segcache_delta(stats.exchange, seg_start, g.segcache_stats());
   stats.seconds = timer.seconds();
   stats.comm_bytes = comm.stats().bytes_sent - start_bytes;

@@ -1,13 +1,8 @@
 #include "engine/stats.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace xtra::engine {
-
-void merge(comm::ExchangeStats& into, const comm::ExchangeStats& from) {
-  into.merge_from(from);
-}
 
 std::string Stats::to_json() const {
   char buf[1152];

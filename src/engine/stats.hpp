@@ -1,9 +1,8 @@
 // engine::Stats — the unified per-run measurement every vertex
-// program returns: the analytics RunInfo triple (wall seconds, bytes
-// this rank sent, supersteps) merged with the comm layer's
-// ExchangeStats ledger aggregated over every engine the run owned
-// (halo plan, frontier/census exchangers, coalescer). JSON-exportable
-// for bench tooling.
+// program returns: wall seconds, bytes this rank sent and supersteps,
+// plus the comm layer's ExchangeStats ledger aggregated over every
+// engine the run owned (halo plan, frontier/census exchangers,
+// coalescer). JSON-exportable for bench tooling.
 #pragma once
 
 #include <string>
@@ -27,10 +26,6 @@ struct Stats {
   /// consumers parse the same field names).
   std::string to_json() const;
 };
-
-/// Fold one engine's ledger into an aggregate: counters and times add,
-/// peak fields take the max.
-void merge(comm::ExchangeStats& into, const comm::ExchangeStats& from);
 
 namespace detail {
 

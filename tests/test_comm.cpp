@@ -13,13 +13,14 @@
 #include <string_view>
 #include <vector>
 
-#include "analytics/analytics.hpp"
+#include "analytics/programs.hpp"
 #include "comm/coalescing.hpp"
 #include "comm/dest_buckets.hpp"
 #include "comm/exchanger.hpp"
 #include "comm/query_reply.hpp"
 #include "core/exchange.hpp"
 #include "core/xtrapulp.hpp"
+#include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
@@ -904,17 +905,21 @@ TEST(HierarchicalCallers, AnalyticsAndSpmvIdenticalUnderHierRouting) {
       [&](sim::Comm& comm) {
         const auto g = graph::build_dist_graph(
             comm, el, graph::VertexDist::block(el.n, 6));
-        const auto wcc_flat = analytics::weakly_connected_components(
-            comm, g, comm::ShardPolicy::kFlat);
-        const auto wcc_hier = analytics::weakly_connected_components(
-            comm, g, comm::ShardPolicy::kHierarchical);
+        analytics::WccProgram wcc_flat, wcc_hier;
+        engine::run(comm, g, wcc_flat,
+                    {.shard_policy = comm::ShardPolicy::kFlat});
+        engine::run(comm, g, wcc_hier,
+                    {.shard_policy = comm::ShardPolicy::kHierarchical});
         EXPECT_EQ(wcc_hier.component, wcc_flat.component);
         EXPECT_EQ(wcc_hier.num_components, wcc_flat.num_components);
 
-        const auto lp_flat = analytics::label_propagation(
-            comm, g, 4, comm::ShardPolicy::kFlat);
-        const auto lp_hier = analytics::label_propagation(
-            comm, g, 4, comm::ShardPolicy::kHierarchical);
+        analytics::CommLpProgram lp_flat, lp_hier;
+        engine::run(comm, g, lp_flat,
+                    {.shard_policy = comm::ShardPolicy::kFlat,
+                     .max_supersteps = 4});
+        engine::run(comm, g, lp_hier,
+                    {.shard_policy = comm::ShardPolicy::kHierarchical,
+                     .max_supersteps = 4});
         EXPECT_EQ(lp_hier.label, lp_flat.label);
         EXPECT_EQ(lp_hier.num_communities, lp_flat.num_communities);
 

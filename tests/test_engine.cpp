@@ -1,18 +1,20 @@
 // Tests for the unified vertex-program engine (src/engine/): the
-// wrapper-vs-engine bit-identity matrix across the transport knobs
-// ({flat, hierarchical} x {two-sided, one-sided} x {pipeline depth
-// 0, 1, 2} x {coalesce 0, 1, 3}), the two engine-native workloads
-// against serial oracles (delta-capped SSSP vs Dijkstra, approximate
-// triangle count vs an exact serial count), and the Stats/Config
-// plumbing.
+// bit-identity matrix against a default-knob run across the transport
+// knobs ({flat, hierarchical} x {two-sided, one-sided} x {pipeline
+// depth 0, 1, 2} x {coalesce 0, 1, 3}), the two engine-native
+// workloads against serial oracles (delta-capped SSSP vs Dijkstra,
+// approximate triangle count vs an exact serial count), and the
+// Stats/Config plumbing, including the rejection of invalid Configs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analytics/analytics.hpp"
@@ -128,9 +130,9 @@ std::string cfg_name(const engine::Config& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Wrapper-vs-engine bit-identity across the knob matrix. WCC and
-// k-core contract to unique fixpoints (min label, exact coreness), so
-// every cell must reproduce the default-knob wrapper bit for bit.
+// Bit-identity across the knob matrix. WCC and k-core contract to
+// unique fixpoints (min label, exact coreness), so every cell must
+// reproduce the default-knob run bit for bit.
 
 TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
   const EdgeList el = gen::community_graph(2'000, 10, 0.7, 2.3, 5);
@@ -139,12 +141,13 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    const ComponentsResult r = weakly_connected_components(comm, g);
-    const auto global = by_gid(comm, g, r.component);
+    WccProgram p;
+    engine::run(comm, g, p);
+    const auto global = by_gid(comm, g, p.component);
     if (comm.rank() == 0) {
       ref = global;
-      ref_num = r.num_components;
-      ref_largest = r.largest_size;
+      ref_num = p.num_components;
+      ref_largest = p.largest_size;
     }
   });
   for (const engine::Config& cfg : knob_matrix()) {
@@ -172,8 +175,9 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 4, 5));
-    const KCoreResult r = kcore_approx(comm, g, 40);
-    const auto global = by_gid(comm, g, r.core);
+    KCoreProgram p;
+    engine::run(comm, g, p, {.max_supersteps = 40});
+    const auto global = by_gid(comm, g, p.core);
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
@@ -197,7 +201,7 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
 
 // Community LP's majority vote is trajectory-dependent: only the
 // staleness-free cells (depth 0, coalesce <= 1) are bit-identical to
-// the wrapper; the stale cells must still converge to a valid
+// the default-knob run; the stale cells must still converge to a valid
 // labeling on a planted-community graph.
 TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
   EdgeList el;
@@ -210,8 +214,9 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 4, 4));
-    const CommunityResult r = label_propagation(comm, g, 10);
-    const auto global = by_gid(comm, g, r.label);
+    CommLpProgram p;
+    engine::run(comm, g, p, {.max_supersteps = 10});
+    const auto global = by_gid(comm, g, p.label);
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
@@ -250,10 +255,11 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    const PageRankResult r = pagerank(comm, g, 12);
+    PageRankProgram p;
+    engine::run(comm, g, p, {.max_supersteps = 12});
     std::vector<double> global(g.n_global(), 0.0);
     for (lid_t v = 0; v < g.n_local(); ++v)
-      global[g.gid_of(v)] = r.rank[v];
+      global[g.gid_of(v)] = p.rank[v];
     comm.allreduce_max(global);
     if (comm.rank() == 0) ref = global;
   });
@@ -299,8 +305,8 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   });
 }
 
-// The harmonic/SCC knob-plumbing gap: the Config overloads must
-// produce identical results under hierarchical routing.
+// The composites route every engine run they issue through cfg: both
+// must produce identical results under hierarchical routing.
 TEST(EngineMatrix, HarmonicAndSccIdenticalUnderHierarchicalRouting) {
   const EdgeList directed = gen::webcrawl(2'000, 10, 3);
   for (const comm::ShardPolicy policy :
@@ -429,13 +435,27 @@ TEST_P(SsspRanks, MatchesSerialDijkstraAcrossDeltas) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const DistGraph g =
           build_graph(comm, el, VertexDist::random(el.n, nranks, 3));
-      const SsspResult r = sssp(comm, g, root, delta, max_weight, seed);
+      DeltaSsspProgram p;
+      p.root = root;
+      p.delta = delta;
+      p.max_weight = max_weight;
+      p.weight_seed = seed;
+      const engine::Stats st = engine::run(comm, g, p);
       for (lid_t v = 0; v < g.n_local(); ++v)
-        EXPECT_EQ(r.dist[v], oracle[g.gid_of(v)])
+        EXPECT_EQ(p.dist[v], oracle[g.gid_of(v)])
             << "gid " << g.gid_of(v) << " delta " << delta;
-      EXPECT_GT(r.info.supersteps, 0);
+      EXPECT_GT(st.supersteps, 0);
     });
   }
+}
+
+/// Vertices with a finite distance, summed over ranks.
+count_t reached(sim::Comm& comm, const DistGraph& g,
+                const DeltaSsspProgram& p) {
+  count_t local = 0;
+  for (lid_t v = 0; v < g.n_local(); ++v)
+    if (p.dist[v] != kInfDist) ++local;
+  return comm.allreduce_sum(local);
 }
 
 TEST(Sssp, PathGraphExactDistances) {
@@ -445,16 +465,18 @@ TEST(Sssp, PathGraphExactDistances) {
   for (gid_t v = 0; v + 1 < 5; ++v) el.edges.push_back({v, v + 1});
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
-    const SsspResult r = sssp(comm, g, 0, /*delta=*/4);
+    DeltaSsspProgram p;
+    p.delta = 4;
+    engine::run(comm, g, p);
     count_t expect = 0;
     for (gid_t v = 0; v < 5; ++v) {
       if (v > 0) expect += edge_weight(v - 1, v, 1, 16);
       const lid_t l = g.lid_of(v);
       if (l != kInvalidLid && g.is_owned(l)) {
-        EXPECT_EQ(r.dist[l], expect);
+        EXPECT_EQ(p.dist[l], expect);
       }
     }
-    EXPECT_EQ(r.reached, 5);
+    EXPECT_EQ(reached(comm, g, p), 5);
   });
 }
 
@@ -467,11 +489,12 @@ TEST(Sssp, DisconnectedVerticesStayUnreached) {
   el.edges = {{0, 1}, {1, 2}};  // 3, 4, 5 isolated
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
-    const SsspResult r = sssp(comm, g, 0);
-    EXPECT_EQ(r.reached, 3);
+    DeltaSsspProgram p;
+    engine::run(comm, g, p);
+    EXPECT_EQ(reached(comm, g, p), 3);
     for (lid_t v = 0; v < g.n_local(); ++v)
       if (g.gid_of(v) >= 3) {
-        EXPECT_EQ(r.dist[v], kInfDist);
+        EXPECT_EQ(p.dist[v], kInfDist);
       }
   });
 }
@@ -516,9 +539,11 @@ TEST_P(TriangleRanks, ExactWhenUnderSampleCap) {
         build_graph(comm, el, VertexDist::random(el.n, nranks, 5));
     // Cap far above any wedge count: every query is staged, so the
     // estimate is the exact count.
-    const TriangleResult r = triangle_count(comm, g, 1 << 20);
-    EXPECT_EQ(r.sampled_centers, 0);
-    EXPECT_DOUBLE_EQ(r.triangles, static_cast<double>(exact));
+    TriangleCountProgram p;
+    p.sample_cap = 1 << 20;
+    engine::run(comm, g, p, {.max_supersteps = 1});
+    EXPECT_EQ(p.sampled_centers, 0);
+    EXPECT_DOUBLE_EQ(p.triangles, static_cast<double>(exact));
   });
 }
 
@@ -529,9 +554,11 @@ TEST(Triangles, SampledEstimateTracksExactCount) {
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, el, VertexDist::random(el.n, 2, 3));
-    const TriangleResult r = triangle_count(comm, g, /*sample_cap=*/64);
-    EXPECT_GT(r.sampled_centers, 0);
-    const double rel = r.triangles / static_cast<double>(exact);
+    TriangleCountProgram p;
+    p.sample_cap = 64;
+    engine::run(comm, g, p, {.max_supersteps = 1});
+    EXPECT_GT(p.sampled_centers, 0);
+    const double rel = p.triangles / static_cast<double>(exact);
     EXPECT_GT(rel, 0.5);
     EXPECT_LT(rel, 1.5);
   });
@@ -544,8 +571,9 @@ TEST(Triangles, TriangleFreeGraphCountsZero) {
   for (gid_t v = 0; v < 8; ++v) el.edges.push_back({v, (v + 1) % 8});
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
-    const TriangleResult r = triangle_count(comm, g);
-    EXPECT_DOUBLE_EQ(r.triangles, 0.0);
+    TriangleCountProgram p;
+    engine::run(comm, g, p, {.max_supersteps = 1});
+    EXPECT_DOUBLE_EQ(p.triangles, 0.0);
   });
 }
 
@@ -593,20 +621,82 @@ TEST(EngineConfig, FromParamsMapsEveryKnob) {
   EXPECT_EQ(cfg.max_supersteps, engine::Config::kUnbounded);
 }
 
-// Legacy zero-iteration contract: a cap of 0 runs no supersteps and
-// returns the seed state (wrappers clamp negatives the same way).
+// Zero-iteration contract: a cap of 0 runs no supersteps and returns
+// the seed state.
 TEST(EngineConfig, ZeroSuperstepCapRunsNone) {
   const EdgeList el = gen::erdos_renyi(200, 4, 3);
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
-    const PageRankResult pr = pagerank(comm, g, 0);
-    EXPECT_EQ(pr.info.supersteps, 0);
+    PageRankProgram pr;
+    EXPECT_EQ(engine::run(comm, g, pr, {.max_supersteps = 0}).supersteps, 0);
     EXPECT_NEAR(pr.sum, 1.0, 1e-12);  // uniform seed ranks, mass intact
-    const KCoreResult kc = kcore_approx(comm, g, -1);
-    EXPECT_EQ(kc.info.supersteps, 0);
+    KCoreProgram kc;
+    EXPECT_EQ(engine::run(comm, g, kc, {.max_supersteps = 0}).supersteps, 0);
     for (lid_t v = 0; v < g.n_local(); ++v)
       EXPECT_EQ(kc.core[v], g.degree(v));  // degree upper bound untouched
   });
+}
+
+// Entry audit: a Config no driver accepts throws std::invalid_argument
+// on every rank before the first collective, so no rank aborts and
+// none waits for a peer. Each rank then runs a valid program, which
+// would hang or fail the verifier if any rank had started a collective
+// before throwing.
+TEST(EngineConfig, InvalidConfigThrowsOnEveryRank) {
+  const EdgeList el = gen::erdos_renyi(200, 4, 3);
+  const std::vector<std::pair<const char*, engine::Config>> bad_any = {
+      {"num_threads 0", {.num_threads = 0}},
+      {"num_threads -2", {.num_threads = -2}},
+      {"pipeline_depth -1", {.pipeline_depth = -1}},
+      {"coalesce_every -1", {.coalesce_every = -1}},
+      {"max_exchange_bytes -1", {.max_exchange_bytes = -1}},
+      {"cache_budget_bytes -1", {.cache_budget_bytes = -1}},
+  };
+  // Fixed-iteration programs additionally need a cap and refuse the
+  // coalesced refresh.
+  const std::vector<std::pair<const char*, engine::Config>> bad_fixed = {
+      {"no cap", {}},
+      {"coalescing", {.coalesce_every = 2, .max_supersteps = 5}},
+  };
+  for (const int nranks : {1, 2}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::block(el.n, nranks));
+      for (const auto& [name, cfg] : bad_any) {
+        WccProgram wcc;
+        EXPECT_THROW(engine::run(comm, g, wcc, cfg), std::invalid_argument)
+            << name;
+        PageRankProgram pr;
+        engine::Config capped = cfg;
+        capped.max_supersteps = 5;
+        EXPECT_THROW(engine::run(comm, g, pr, capped), std::invalid_argument)
+            << name;
+        BfsProgram bfs;
+        EXPECT_THROW(engine::run(comm, g, bfs, cfg), std::invalid_argument)
+            << name;
+        MultiBfsProgram multi;
+        multi.roots = {0, 1};
+        EXPECT_THROW(engine::run(comm, g, multi, cfg), std::invalid_argument)
+            << name;
+      }
+      for (const auto& [name, cfg] : bad_fixed) {
+        PageRankProgram pr;
+        EXPECT_THROW(engine::run(comm, g, pr, cfg), std::invalid_argument)
+            << name;
+        TriangleCountProgram tc;
+        EXPECT_THROW(engine::run(comm, g, tc, cfg), std::invalid_argument)
+            << name;
+      }
+      // Nothing was left half-started: a valid run completes on every
+      // rank.
+      WccProgram wcc;
+      engine::run(comm, g, wcc);
+      EXPECT_GT(wcc.num_components, 0);
+      // Coalescing stays valid on a change-converging program.
+      KCoreProgram kc;
+      EXPECT_NO_THROW(engine::run(comm, g, kc, {.coalesce_every = 2}));
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -750,7 +840,7 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
       TriangleCountProgram p;
       p.sample_cap = 64;
       engine::Config cfg = env_cfg();
-      cfg.max_supersteps = 1;  // single staging superstep, as the wrapper
+      cfg.max_supersteps = 1;  // single staging superstep
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
       auto wire = wire_ledger(st);

@@ -19,8 +19,9 @@
 #include <string_view>
 #include <vector>
 
-#include "analytics/analytics.hpp"
+#include "analytics/programs.hpp"
 #include "comm/exchanger.hpp"
+#include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
@@ -590,12 +591,14 @@ TEST(PipelinedAnalytics, PageRankDepth0BitIdenticalToBlockingReference) {
       halo.exchange(comm, ref_rank);
     }
 
-    const auto pr = analytics::pagerank(comm, g, kIters, kDamping,
-                                        /*pipeline_depth=*/0);
+    analytics::PageRankProgram pr;
+    pr.damping = kDamping;
+    const engine::Stats st = engine::run(
+        comm, g, pr, {.pipeline_depth = 0, .max_supersteps = kIters});
     ASSERT_EQ(pr.rank.size(), ref_rank.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
-    EXPECT_EQ(pr.info.supersteps, kIters);
+    EXPECT_EQ(st.supersteps, kIters);
   });
 }
 
@@ -610,17 +613,26 @@ TEST(PipelinedAnalytics, PageRankDepth1ConvergesToSameRanks) {
     // sqrt(damping) per superstep (vs damping for depth 0), so it
     // needs more supersteps to hit the same residual — the cap is
     // sized for that.
-    const auto d0 = analytics::pagerank(comm, g, 400, 0.85, 0, 1e-10);
-    const auto d1 = analytics::pagerank(comm, g, 400, 0.85, 1, 1e-10);
+    analytics::PageRankProgram d0, d1;
+    const count_t s0 = engine::run(comm, g, d0,
+                                   {.pipeline_depth = 0,
+                                    .tol = 1e-10,
+                                    .max_supersteps = 400})
+                           .supersteps;
+    const count_t s1 = engine::run(comm, g, d1,
+                                   {.pipeline_depth = 1,
+                                    .tol = 1e-10,
+                                    .max_supersteps = 400})
+                           .supersteps;
     EXPECT_NEAR(d0.sum, 1.0, 1e-8);
     EXPECT_NEAR(d1.sum, 1.0, 1e-8);
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_NEAR(d1.rank[v], d0.rank[v], 1e-7) << "lid " << v;
     // The residual stop engaged on both (the cap did not bind), and
     // the stale path paid extra supersteps for its overlap.
-    EXPECT_LT(d0.info.supersteps, 400);
-    EXPECT_LT(d1.info.supersteps, 400);
-    EXPECT_GE(d1.info.supersteps, d0.info.supersteps);
+    EXPECT_LT(s0, 400);
+    EXPECT_LT(s1, 400);
+    EXPECT_GE(s1, s0);
   });
 }
 
@@ -663,8 +675,8 @@ TEST(PipelinedAnalytics, KcoreDepth0BitIdenticalToBlockingReference) {
       }
     }
 
-    const auto kc = analytics::kcore_approx(comm, g, kRounds,
-                                            /*pipeline_depth=*/0);
+    analytics::KCoreProgram kc;
+    engine::run(comm, g, kc, {.pipeline_depth = 0, .max_supersteps = kRounds});
     ASSERT_EQ(kc.core.size(), ref.size());
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(kc.core[v], ref[v]) << "lid " << v;
@@ -679,8 +691,9 @@ TEST(PipelinedAnalytics, KcoreDepth1ReachesSameCoreness) {
     // Generous round caps: both runs converge (the depth-1 peel may
     // take a few extra rounds), and the fixpoint — the exact coreness
     // — is unique.
-    const auto d0 = analytics::kcore_approx(comm, g, 200, 0);
-    const auto d1 = analytics::kcore_approx(comm, g, 200, 1);
+    analytics::KCoreProgram d0, d1;
+    engine::run(comm, g, d0, {.pipeline_depth = 0, .max_supersteps = 200});
+    engine::run(comm, g, d1, {.pipeline_depth = 1, .max_supersteps = 200});
     EXPECT_EQ(d1.max_core, d0.max_core);
     for (lid_t v = 0; v < g.n_total(); ++v)
       EXPECT_EQ(d1.core[v], d0.core[v]) << "lid " << v;
@@ -695,13 +708,14 @@ TEST(PipelinedAnalytics, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
     // coalesce_every == 1 delivers every changed label every sweep —
     // exactly the full refresh (unchanged ghosts already agree), so
     // the runs must match bit for bit, supersteps included.
-    const auto plain = analytics::label_propagation(
-        comm, g, 8, comm::ShardPolicy::kFlat, 0);
-    const auto co = analytics::label_propagation(
-        comm, g, 8, comm::ShardPolicy::kFlat, 1);
+    analytics::CommLpProgram plain, co;
+    const engine::Stats plain_st = engine::run(
+        comm, g, plain, {.coalesce_every = 0, .max_supersteps = 8});
+    const engine::Stats co_st = engine::run(
+        comm, g, co, {.coalesce_every = 1, .max_supersteps = 8});
     EXPECT_EQ(co.label, plain.label);
     EXPECT_EQ(co.num_communities, plain.num_communities);
-    EXPECT_EQ(co.info.supersteps, plain.info.supersteps);
+    EXPECT_EQ(co_st.supersteps, plain_st.supersteps);
   });
 }
 
@@ -718,8 +732,8 @@ TEST(PipelinedAnalytics, CommLpCoalescedRecoversPlantedCommunities) {
     sim::run_world(4, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 4, 4));
-      const auto r = analytics::label_propagation(
-          comm, g, 20, comm::ShardPolicy::kFlat, every);
+      analytics::CommLpProgram r;
+      engine::run(comm, g, r, {.coalesce_every = every, .max_supersteps = 20});
       EXPECT_EQ(r.num_communities, 2) << "every=" << every;
       for (lid_t v = 0; v < g.n_local(); ++v)
         EXPECT_EQ(r.label[v], g.gid_of(v) < 20 ? 0u : 20u)
@@ -735,8 +749,8 @@ TEST(PipelinedAnalytics, CommLpCoalescedGhostsConsistentOnExit) {
   sim::run_world(4, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, graph::VertexDist::random(el.n, 4, 5));
-    const auto r = analytics::label_propagation(
-        comm, g, 5, comm::ShardPolicy::kFlat, 3);
+    analytics::CommLpProgram r;
+    engine::run(comm, g, r, {.coalesce_every = 3, .max_supersteps = 5});
     std::vector<gid_t> check(r.label);
     graph::HaloPlan halo(comm, g);
     halo.exchange(comm, check);

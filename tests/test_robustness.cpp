@@ -6,8 +6,10 @@
 #include <cstdio>
 
 #include "analytics/analytics.hpp"
+#include "analytics/programs.hpp"
 #include "baseline/partitioners.hpp"
 #include "core/xtrapulp.hpp"
+#include "engine/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/dist_graph.hpp"
 #include "graph/io.hpp"
@@ -133,12 +135,15 @@ TEST(DegenerateAnalytics, EdgelessGraph) {
   sim::run_world(2, [&](sim::Comm& comm) {
     const auto g = graph::build_dist_graph(
         comm, el, VertexDist::block(el.n, 2));
-    const auto pr = analytics::pagerank(comm, g, 5);
+    analytics::PageRankProgram pr;
+    engine::run(comm, g, pr, {.max_supersteps = 5});
     EXPECT_NEAR(pr.sum, 1.0, 1e-9);  // dangling mass redistributed
-    const auto cc = analytics::weakly_connected_components(comm, g);
+    analytics::WccProgram cc;
+    engine::run(comm, g, cc);
     EXPECT_EQ(cc.num_components, 40);
     EXPECT_EQ(cc.largest_size, 1);
-    const auto kc = analytics::kcore_approx(comm, g, 5);
+    analytics::KCoreProgram kc;
+    engine::run(comm, g, kc, {.max_supersteps = 5});
     EXPECT_EQ(kc.max_core, 0);
     const auto scc = analytics::largest_scc(comm, g);
     EXPECT_LE(scc.scc_size, 1);
@@ -153,7 +158,8 @@ TEST(DegenerateAnalytics, SelfLoopOnlyGraphActsEdgeless) {
     const auto g = graph::build_dist_graph(
         comm, el, VertexDist::block(el.n, 2));
     EXPECT_EQ(g.m_global(), 0);
-    const auto cc = analytics::weakly_connected_components(comm, g);
+    analytics::WccProgram cc;
+    engine::run(comm, g, cc);
     EXPECT_EQ(cc.num_components, 10);
   });
 }
@@ -237,7 +243,8 @@ TEST(Idempotence, AnalyticsDeterministicAcrossRuns) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, VertexDist::random(el.n, 3, 2));
-      const auto lp = analytics::label_propagation(comm, g, 8);
+      analytics::CommLpProgram lp;
+      engine::run(comm, g, lp, {.max_supersteps = 8});
       if (comm.rank() == 0) {
         if (first < 0)
           first = lp.num_communities;

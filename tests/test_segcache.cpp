@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "analytics/analytics.hpp"
 #include "analytics/programs.hpp"
 #include "core/xtrapulp.hpp"
 #include "engine/engine.hpp"
