@@ -12,11 +12,10 @@
 //
 // All eight workloads (the paper's six plus the engine-native SSSP
 // and triangle count) run through the unified vertex-program engine:
-// one engine::Config built from core::Params carries every transport
-// knob (shard policy, chunk size, pipeline depth, coalescing cadence,
-// intra-rank threads) into every kernel — XTRA_PIPELINE_DEPTH /
-// XTRA_SHARD_HIER / XTRA_COALESCE_EVERY / XTRA_THREADS select them
-// without recompiling.
+// one engine::Config carries every transport knob (chunk size,
+// pipeline depth, coalescing cadence, intra-rank threads) into every
+// kernel — XTRA_PIPELINE_DEPTH / XTRA_COALESCE_EVERY / XTRA_THREADS
+// select them without recompiling.
 #include <cstdlib>
 #include <memory>
 
@@ -49,23 +48,21 @@ int main() {
   const double scale = gen::env_scale();
   const auto n = static_cast<xtra::gid_t>(60'000 * scale);
   const int nranks = 8;
-  // Analytics knobs ride core::Params -> engine::Config: every kernel
-  // inherits the pipeline depth, shard policy, and coalescing cadence
-  // uniformly. Defaults keep the runs bit-comparable with earlier
-  // figures. The same Params seeds the XtraPuLP strategy below.
+  // The knobs shared with the partitioner ride core::Params ->
+  // engine::Config (the same Params seeds the XtraPuLP strategy below);
+  // the analytics-only pipeline depth and coalescing cadence are set on
+  // the Config directly. Every kernel inherits all of them uniformly.
+  // Defaults keep the runs bit-comparable with earlier figures.
   core::Params apar;
-  if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
-    apar.pipeline_depth = std::atoi(pd);
-  if (const char* sh = std::getenv("XTRA_SHARD_HIER"))
-    if (std::atoi(sh) != 0)
-      apar.shard_policy = comm::ShardPolicy::kHierarchical;
-  if (const char* ce = std::getenv("XTRA_COALESCE_EVERY"))
-    apar.coalesce_every = std::atoi(ce);
   // The "+X" of MPI+X: intra-rank worker threads. Results and wire
   // traffic are thread-count-invariant by contract (DESIGN.md §6).
   if (const char* t = std::getenv("XTRA_THREADS"))
     apar.num_threads = std::atoi(t);
-  const engine::Config cfg = engine::Config::from_params(apar);
+  engine::Config cfg = engine::Config::from_params(apar);
+  if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
+    cfg.pipeline_depth = std::atoi(pd);
+  if (const char* ce = std::getenv("XTRA_COALESCE_EVERY"))
+    cfg.coalesce_every = std::atoi(ce);
   const graph::EdgeList directed = gen::webcrawl(n, 20, 7);
   const graph::EdgeList el = graph::symmetrized(directed);
   const baseline::SerialGraph sg = baseline::build_serial_graph(el);

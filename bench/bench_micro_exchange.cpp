@@ -41,14 +41,7 @@ struct CommRow {
   double bytes_per_iter = 0.0;        ///< wire bytes, summed over ranks
   double collectives_per_iter = 0.0;  ///< collective invocations (world)
   double phases_per_iter = 0.0;       ///< alltoallv rounds per exchange
-  // Topology ledger (world-summed engine stats): where the payload
-  // bytes landed relative to the node grouping, and how many
-  // point-to-point segments crossed nodes — the metric the
-  // hierarchical exchange exists to shrink.
-  double inter_node_bytes_per_iter = 0.0;
-  double intra_node_bytes_per_iter = 0.0;
-  double inter_node_msgs_per_iter = 0.0;
-  count_t coalesced_flushes = 0;  ///< CoalescingExchanger flushes (total)
+  count_t coalesced_flushes = 0;  ///< CoalescingExchanger flushes (world)
   // Overlap accounting (rank 0's engine; timings are informational,
   // the baseline check compares only bytes and collectives).
   double overlapped_frac = 0.0;     ///< start/finish-driven exchanges
@@ -104,21 +97,6 @@ void note_overlap(CommRow& row, const xtra::comm::ExchangeStats& s) {
   row.drained_incrementally = s.drained_incrementally;
   row.pipeline_carried = s.pipeline_carried;
   row.max_pipeline_depth = s.max_pipeline_depth;
-}
-
-/// World-sum one engine's topology ledger into a row. Collective —
-/// every rank must call it (only rank 0 writes the row).
-void note_topology(CommRow& row, sim::Comm& comm,
-                   const xtra::comm::ExchangeStats& s, int iters) {
-  std::vector<count_t> v{s.inter_node_bytes, s.intra_node_bytes,
-                         s.inter_node_msgs, s.coalesced_flushes};
-  comm.allreduce_sum(v);
-  if (comm.rank() == 0) {
-    row.inter_node_bytes_per_iter = static_cast<double>(v[0]) / iters;
-    row.intra_node_bytes_per_iter = static_cast<double>(v[1]) / iters;
-    row.inter_node_msgs_per_iter = static_cast<double>(v[2]) / iters;
-    row.coalesced_flushes = v[3];
-  }
 }
 
 std::map<std::string, CommRow>& comm_rows() {
@@ -191,7 +169,6 @@ void BM_ExchangeUpdatesBounded(benchmark::State& state) {
         exchanger.run(comm, g, parts, queue);
       }
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, exchanger.stats(), kIters);
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, exchanger.stats());
@@ -226,7 +203,7 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::HaloPlan halo(comm, g, comm::ShardPolicy::kFlat,
+      graph::HaloPlan halo(comm, g,
                            onesided ? comm::Backend::kOneSided
                                     : comm::Backend::kTwoSided);
       halo.set_max_send_bytes(bound);
@@ -238,7 +215,6 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
       comm.reset_stats();
       for (int i = 0; i < kIters; ++i) halo.exchange(comm, vals);
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -286,7 +262,6 @@ void BM_HaloPrefetchOverlap(benchmark::State& state) {
         halo.overlapped_superstep(comm, vals,
                                   [&](lid_t v) { vals[v] += 1.0; });
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -306,65 +281,46 @@ BENCHMARK(BM_HaloPrefetchOverlap)
     ->Args({8, 0})
     ->Args({16, 0});
 
-/// Flat vs hierarchical routing of the label-propagation exchange on
-/// a 4-ranks-per-node topology, at the rank counts where per-message
-/// overhead starts to dominate (16/32/64). Both policies run the same
-/// workload; the check script requires the hierarchical rows to move
-/// strictly fewer inter-node messages than their flat twins. The
-/// graph is smaller than BM_ExchangeUpdatesBounded's so the 64-rank
-/// rows keep the CI gate fast.
+/// The bounded label-propagation exchange at the rank counts where
+/// per-message overhead starts to dominate (16/32/64). The graph is
+/// smaller than BM_ExchangeUpdatesBounded's so the 64-rank rows keep
+/// the CI gate fast.
 void BM_ShardedUpdates(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
-  const int rpn = static_cast<int>(state.range(1));
-  const auto bound = static_cast<count_t>(state.range(2));
-  const bool hier = state.range(3) != 0;
+  const auto bound = static_cast<count_t>(state.range(1));
   constexpr int kIters = 4;
   const graph::EdgeList el = gen::erdos_renyi(6'000, 12, 3);
-  CommRow row{hier ? "sharded_updates_hier" : "sharded_updates_flat",
-              nranks, bound};
+  CommRow row{"sharded_updates_flat", nranks, bound};
   for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::random(el.n, nranks, 3));
-          core::UpdateExchanger exchanger(bound);
-          if (hier)
-            exchanger.set_shard_policy(
-                xtra::comm::ShardPolicy::kHierarchical);
-          exchanger.build_destinations(g);
-          std::vector<part_t> parts(g.n_total(), 0);
-          std::vector<lid_t> queue(g.n_local());
-          for (lid_t v = 0; v < g.n_local(); ++v) queue[v] = v;
-          comm.barrier();
-          comm.reset_stats();
-          for (int it = 0; it < kIters; ++it) {
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              parts[v] =
-                  static_cast<part_t>((v + static_cast<lid_t>(it)) % 8);
-            exchanger.run(comm, g, parts, queue);
-          }
-          const sim::CommStats world = comm.world_stats();
-          note_topology(row, comm, exchanger.stats(), kIters);
-          if (comm.rank() == 0) {
-            note_world(row, world, kIters);
-            note_overlap(row, exchanger.stats());
-          }
-        },
-        rpn);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const auto g = graph::build_dist_graph(
+          comm, el, graph::VertexDist::random(el.n, nranks, 3));
+      core::UpdateExchanger exchanger(bound);
+      exchanger.build_destinations(g);
+      std::vector<part_t> parts(g.n_total(), 0);
+      std::vector<lid_t> queue(g.n_local());
+      for (lid_t v = 0; v < g.n_local(); ++v) queue[v] = v;
+      comm.barrier();
+      comm.reset_stats();
+      for (int it = 0; it < kIters; ++it) {
+        for (lid_t v = 0; v < g.n_local(); ++v)
+          parts[v] = static_cast<part_t>((v + static_cast<lid_t>(it)) % 8);
+        exchanger.run(comm, g, parts, queue);
+      }
+      const sim::CommStats world = comm.world_stats();
+      if (comm.rank() == 0) {
+        note_world(row, world, kIters);
+        note_overlap(row, exchanger.stats());
+      }
+    });
   }
   state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["inter_msgs/iter"] = row.inter_node_msgs_per_iter;
-  state.counters["inter_bytes/iter"] = row.inter_node_bytes_per_iter;
   record_row(row);
 }
 BENCHMARK(BM_ShardedUpdates)
-    ->Args({16, 4, 1 << 16, 0})
-    ->Args({16, 4, 1 << 16, 1})
-    ->Args({32, 4, 1 << 16, 0})
-    ->Args({32, 4, 1 << 16, 1})
-    ->Args({64, 4, 1 << 16, 0})
-    ->Args({64, 4, 1 << 16, 1});
+    ->Args({16, 1 << 16})
+    ->Args({32, 1 << 16})
+    ->Args({64, 1 << 16});
 
 /// Cross-superstep coalescing: many supersteps of tiny per-destination
 /// runs, shipped per round (uncoalesced) vs batched by a
@@ -375,40 +331,38 @@ void BM_CoalescedRounds(benchmark::State& state) {
   const bool coalesce = state.range(1) != 0;
   constexpr int kRounds = 16;
   constexpr count_t kPerDest = 2;  // tiny runs: overhead-dominated
-  const int rpn = 4;
   CommRow row{coalesce ? "coalesced_rounds" : "uncoalesced_rounds",
               nranks, 0};
   for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const std::vector<count_t> counts(
-              static_cast<std::size_t>(nranks), kPerDest);
-          std::vector<std::uint64_t> send(
-              static_cast<std::size_t>(nranks) * kPerDest,
-              static_cast<std::uint64_t>(comm.rank()));
-          comm.barrier();
-          comm.reset_stats();
-          xtra::comm::Exchanger plain;
-          // Flush roughly every 4 rounds.
-          xtra::comm::CoalescingExchanger co(4 * kPerDest * nranks *
-                                             sizeof(std::uint64_t));
-          for (int r = 0; r < kRounds; ++r) {
-            if (coalesce)
-              (void)co.enqueue(comm, send, counts);
-            else
-              (void)plain.exchange(comm, send, counts);
-          }
-          if (coalesce) (void)co.flush<std::uint64_t>(comm);
-          const sim::CommStats world = comm.world_stats();
-          note_topology(row, comm,
-                        coalesce ? co.stats() : plain.stats(), kRounds);
-          if (comm.rank() == 0) {
-            note_world(row, world, kRounds);
-            note_overlap(row, coalesce ? co.stats() : plain.stats());
-          }
-        },
-        rpn);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const std::vector<count_t> counts(
+          static_cast<std::size_t>(nranks), kPerDest);
+      std::vector<std::uint64_t> send(
+          static_cast<std::size_t>(nranks) * kPerDest,
+          static_cast<std::uint64_t>(comm.rank()));
+      comm.barrier();
+      comm.reset_stats();
+      xtra::comm::Exchanger plain;
+      // Flush roughly every 4 rounds.
+      xtra::comm::CoalescingExchanger co(4 * kPerDest * nranks *
+                                         sizeof(std::uint64_t));
+      for (int r = 0; r < kRounds; ++r) {
+        if (coalesce)
+          (void)co.enqueue(comm, send, counts);
+        else
+          (void)plain.exchange(comm, send, counts);
+      }
+      if (coalesce) (void)co.flush<std::uint64_t>(comm);
+      const sim::CommStats world = comm.world_stats();
+      // Collective, after the snapshot: unbilled in the row.
+      const count_t flushes = comm.allreduce_sum(
+          (coalesce ? co.stats() : plain.stats()).coalesced_flushes);
+      if (comm.rank() == 0) {
+        row.coalesced_flushes = flushes;
+        note_world(row, world, kRounds);
+        note_overlap(row, coalesce ? co.stats() : plain.stats());
+      }
+    });
   }
   state.counters["colls/iter"] = row.collectives_per_iter;
   state.counters["flushes"] = static_cast<double>(row.coalesced_flushes);
@@ -458,7 +412,6 @@ void BM_HaloPipelineDepth(benchmark::State& state) {
                        compute_spin);
       pipe.flush(comm, vals);
       const sim::CommStats world = comm.world_stats();
-      note_topology(row, comm, halo.stats(), kIters);
       if (comm.rank() == 0) {
         note_world(row, world, kIters);
         note_overlap(row, halo.stats());
@@ -781,8 +734,8 @@ BENCHMARK(BM_TriangleQuery)->Args({8, 0})->Args({8, 1 << 16});
 /// MPI+X rows: the engine workloads and the full partitioner at
 /// 4 ranks x {1, 4, 8} intra-rank threads. The thread width is a pure
 /// throughput knob — the check script requires every _tN row's wire
-/// metrics (bytes, collectives, topology split) to match its _t1 twin
-/// exactly; any drift means a thread raced the wire accounting.
+/// metrics (bytes, collectives) to match its _t1 twin exactly; any
+/// drift means a thread raced the wire accounting.
 void BM_ThreadedEngine(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -793,44 +746,41 @@ void BM_ThreadedEngine(benchmark::State& state) {
   CommRow row{std::string(kNames[workload]) + "_t" + std::to_string(threads),
               nranks, 0};
   for (auto _ : state) {
-    sim::run_world(
-        nranks,
-        [&](sim::Comm& comm) {
-          const auto g = graph::build_dist_graph(
-              comm, el, graph::VertexDist::random(el.n, nranks, 3));
-          comm.barrier();
-          comm.reset_stats();
-          double iters = 1.0;
-          if (workload == 3) {
-            core::Params params;
-            params.nparts = nranks;
-            params.num_threads = threads;
-            const core::PartitionResult r = core::partition(comm, g, params);
-            benchmark::DoNotOptimize(r.parts.data());
-          } else {
-            engine::Config cfg;
-            cfg.num_threads = threads;
-            engine::Stats st;
-            if (workload == 0) {
-              analytics::PageRankProgram p;
-              cfg.max_supersteps = 10;
-              st = engine::run(comm, g, p, cfg);
-            } else if (workload == 1) {
-              analytics::CommLpProgram p;
-              cfg.max_supersteps = 10;
-              st = engine::run(comm, g, p, cfg);
-            } else {
-              analytics::DeltaSsspProgram p;
-              p.root = 0;
-              p.delta = 8;
-              st = engine::run(comm, g, p, cfg);
-            }
-            iters = static_cast<double>(st.supersteps);
-          }
-          const sim::CommStats world = comm.world_stats();
-          if (comm.rank() == 0) note_world(row, world, iters);
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const auto g = graph::build_dist_graph(
+          comm, el, graph::VertexDist::random(el.n, nranks, 3));
+      comm.barrier();
+      comm.reset_stats();
+      double iters = 1.0;
+      if (workload == 3) {
+        core::Params params;
+        params.nparts = nranks;
+        params.num_threads = threads;
+        const core::PartitionResult r = core::partition(comm, g, params);
+        benchmark::DoNotOptimize(r.parts.data());
+      } else {
+        engine::Config cfg;
+        cfg.num_threads = threads;
+        engine::Stats st;
+        if (workload == 0) {
+          analytics::PageRankProgram p;
+          cfg.max_supersteps = 10;
+          st = engine::run(comm, g, p, cfg);
+        } else if (workload == 1) {
+          analytics::CommLpProgram p;
+          cfg.max_supersteps = 10;
+          st = engine::run(comm, g, p, cfg);
+        } else {
+          analytics::DeltaSsspProgram p;
+          p.root = 0;
+          p.delta = 8;
+          st = engine::run(comm, g, p, cfg);
+        }
+        iters = static_cast<double>(st.supersteps);
+      }
+      const sim::CommStats world = comm.world_stats();
+      if (comm.rank() == 0) note_world(row, world, iters);
+    });
   }
   state.counters["bytes/iter"] = row.bytes_per_iter;
   state.counters["colls/iter"] = row.collectives_per_iter;
@@ -867,9 +817,6 @@ int main(int argc, char** argv) {
         "%s  {\"bench\": \"%s\", \"nranks\": %d, \"max_send_bytes\": %lld, "
         "\"bytes_per_iter\": %.1f, \"collectives_per_iter\": %.2f, "
         "\"phases_per_exchange\": %.2f, "
-        "\"inter_node_bytes_per_iter\": %.1f, "
-        "\"intra_node_bytes_per_iter\": %.1f, "
-        "\"inter_node_msgs_per_iter\": %.2f, "
         "\"coalesced_flushes\": %lld, \"overlapped_frac\": %.2f, "
         "\"start_seconds\": %.4f, \"finish_seconds\": %.4f, "
         "\"max_inflight_bytes\": %lld, "
@@ -883,8 +830,6 @@ int main(int argc, char** argv) {
         first ? "" : ",\n", r.bench.c_str(), r.nranks,
         static_cast<long long>(r.max_send_bytes), r.bytes_per_iter,
         r.collectives_per_iter, r.phases_per_iter,
-        r.inter_node_bytes_per_iter, r.intra_node_bytes_per_iter,
-        r.inter_node_msgs_per_iter,
         static_cast<long long>(r.coalesced_flushes), r.overlapped_frac,
         r.start_seconds, r.finish_seconds,
         static_cast<long long>(r.max_inflight_bytes),

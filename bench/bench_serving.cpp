@@ -64,29 +64,26 @@ void run_config(const std::string& name, int nranks,
   row.nranks = nranks;
   row.slot_budget = cfg.slot_budget;
   const graph::EdgeList el = gen::erdos_renyi(8'000, 8, 3);
-  sim::run_world(
-      nranks,
-      [&](sim::Comm& comm) {
-        const graph::VertexDist dist =
-            graph::VertexDist::random(el.n, nranks, 17);
-        const graph::DistGraph g = build_dist_graph(comm, el, dist);
-        const std::vector<serve::Query> queries =
-            serve::LoadGen::generate(trace_config(), g.n_global());
-        comm.barrier();
-        const count_t coll0 = comm.stats().collectives;
-        const count_t bytes0 = comm.stats().bytes_sent;
-        serve::Scheduler sched(cfg);
-        sched.run(comm, g, queries);
-        const count_t coll = comm.stats().collectives - coll0;
-        const count_t bytes =
-            comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
-        if (comm.rank() == 0) {
-          row.stats = sched.stats();
-          row.collectives = coll;
-          row.wire_bytes = bytes;
-        }
-      },
-      /*ranks_per_node=*/2);
+  sim::run_world(nranks, [&](sim::Comm& comm) {
+    const graph::VertexDist dist =
+        graph::VertexDist::random(el.n, nranks, 17);
+    const graph::DistGraph g = build_dist_graph(comm, el, dist);
+    const std::vector<serve::Query> queries =
+        serve::LoadGen::generate(trace_config(), g.n_global());
+    comm.barrier();
+    const count_t coll0 = comm.stats().collectives;
+    const count_t bytes0 = comm.stats().bytes_sent;
+    serve::Scheduler sched(cfg);
+    sched.run(comm, g, queries);
+    const count_t coll = comm.stats().collectives - coll0;
+    const count_t bytes =
+        comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
+    if (comm.rank() == 0) {
+      row.stats = sched.stats();
+      row.collectives = coll;
+      row.wire_bytes = bytes;
+    }
+  });
   rows().push_back(row);
 }
 

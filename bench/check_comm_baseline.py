@@ -3,21 +3,15 @@
 
 Runs bench_micro_exchange, parses its COMM_STATS_JSON block, and diffs
 it against the checked-in baseline (bench/baselines/comm_stats.json).
-A row regresses when bytes_per_iter, collectives_per_iter, or
-inter_node_bytes_per_iter grows more than --tolerance (default 10%)
-over the baseline; a baseline row missing from the current run is also
-a failure (a silently dropped sweep is how regressions hide). Timing
-fields are informational and never compared. New rows are reported and
-otherwise ignored — add them to the baseline with --update (rows are
-written sorted by (bench, nranks, max_send_bytes) so refreshes diff
-cleanly).
+A row regresses when bytes_per_iter or collectives_per_iter grows
+more than --tolerance (default 10%) over the baseline; a baseline row
+missing from the current run is also a failure (a silently dropped
+sweep is how regressions hide). Timing fields are informational and
+never compared. New rows are reported and otherwise ignored — add
+them to the baseline with --update (rows are written sorted by (bench,
+nranks, max_send_bytes) so refreshes diff cleanly).
 
-The hierarchical exchange additionally carries an absolute contract:
-for every (nranks >= 16) sharded_updates pair, the hierarchical row
-must move strictly fewer inter-node messages per iteration than its
-flat twin — that coalescing is the point of the two-level routing.
-
-The coalesced community-LP path carries a second absolute contract:
+The coalesced community-LP path carries an absolute contract:
 every commlp_coalesced row must issue strictly fewer collectives per
 superstep than its commlp_uncoalesced twin — batching per-destination
 label updates across supersteps exists to amortize per-superstep
@@ -39,15 +33,15 @@ wire bytes per iteration than the two-sided twin, and must actually
 bill one-sided traffic (a zero one_sided_bytes_per_iter means the
 backend knob silently fell back to push mode).
 
-The MPI+X rows carry a third absolute contract: every *_tN row
+The MPI+X rows carry another absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
-wire metric — bytes, collectives, and the topology split. The thread
+wire metric — bytes and collectives. The thread
 width is a pure throughput knob by design (DESIGN.md §6); any drift
 means a worker thread raced the wire accounting, and no baseline
 tolerance excuses it.
 
 The out-of-core rows (pagerank_segcache_q25 / _q100 and their _nopf
-twins) carry a fourth absolute contract: every prefetch-on row must
+twins) carry another absolute contract: every prefetch-on row must
 report strictly lower seg_stall_seconds than its prefetch-off twin and
 must land at least one prefetch hit — the superstep-driven plan exists
 to convert demand stalls into overlap, and both runs see the same
@@ -98,18 +92,12 @@ import subprocess
 import sys
 
 BASELINE = pathlib.Path(__file__).parent / "baselines" / "comm_stats.json"
-COMPARED = ("bytes_per_iter", "collectives_per_iter",
-            "inter_node_bytes_per_iter", "seg_fetch_bytes")
-HIER_PAIRS = ("sharded_updates_hier", "sharded_updates_flat")
-HIER_MIN_RANKS = 16
+COMPARED = ("bytes_per_iter", "collectives_per_iter", "seg_fetch_bytes")
 COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
 # MPI+X rows: "<workload>_threads_tN". N > 1 rows must equal the _t1
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
-THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter",
-                  "inter_node_bytes_per_iter",
-                  "intra_node_bytes_per_iter",
-                  "inter_node_msgs_per_iter")
+THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter")
 # Pipeline-depth rows: a depth-2 row keeps two refreshes in flight, so
 # it must expose strictly less modeled wire time per iteration than its
 # depth-1 twin (same traffic, more of it hidden behind compute). Keyed
@@ -133,11 +121,7 @@ SEG_STALL = "seg_stall_seconds"
 # exposure fields are excluded: the verifier may cost wall clock, never
 # wire traffic.
 PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter",
-                  "inter_node_bytes_per_iter",
-                  "intra_node_bytes_per_iter",
-                  "inter_node_msgs_per_iter",
-                  "one_sided_bytes_per_iter",
-                  "seg_fetch_bytes")
+                  "one_sided_bytes_per_iter", "seg_fetch_bytes")
 # --- Serving gates (SERVE_STATS_JSON from bench_serving) ------------
 SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
     / "serve_stats.json"
@@ -217,33 +201,6 @@ def key_of(row):
 
 def serve_key_of(row):
     return (row["bench"], row["nranks"], row["slot_budget"])
-
-
-def check_hier_contract(current):
-    """Hierarchical rows must beat their flat twins on inter-node
-    messages at every swept rank count >= HIER_MIN_RANKS."""
-    failures = []
-    hier_name, flat_name = HIER_PAIRS
-    pairs = 0
-    for key, hier in current.items():
-        if key[0] != hier_name or key[1] < HIER_MIN_RANKS:
-            continue
-        flat = current.get((flat_name, key[1], key[2]))
-        if flat is None:
-            failures.append(f"{key}: no flat twin row to compare against")
-            continue
-        pairs += 1
-        h, f = (r.get("inter_node_msgs_per_iter", 0.0)
-                for r in (hier, flat))
-        if not h < f:
-            failures.append(
-                f"{key}: inter_node_msgs_per_iter {h:.1f} not strictly "
-                f"below flat twin's {f:.1f}")
-    if pairs == 0:
-        failures.append(
-            f"no ({hier_name}, {flat_name}) pairs at nranks >= "
-            f"{HIER_MIN_RANKS} in the current run")
-    return failures
 
 
 def check_coalesce_contract(current):
@@ -612,7 +569,6 @@ def main():
     for key in sorted(set(current) - set(baseline)):
         print(f"note: new row not in baseline: {key}")
 
-    failures += check_hier_contract(current)
     failures += check_coalesce_contract(current)
     failures += check_thread_contract(current)
     failures += check_depth_contract(current)
@@ -639,9 +595,9 @@ def main():
             print(f"  {f}")
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
-          f"{args.tolerance:.0%}; hierarchical inter-node, coalesced "
-          f"commLP, thread-twin, pipeline-depth, "
-          f"one-sided, and segcache-prefetch contracts held" + serving
+          f"{args.tolerance:.0%}; coalesced commLP, thread-twin, "
+          f"pipeline-depth, one-sided, and segcache-prefetch contracts "
+          f"held" + serving
           + parity)
 
 

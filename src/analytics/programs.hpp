@@ -384,6 +384,7 @@ struct BfsProgram {
 
   void init(Ctx& ctx) {
     levels.assign(ctx.g.n_total(), kInfDist);
+    max_level = 0;
     if (ctx.g.owner_of_gid(root) == ctx.comm.rank()) {
       const lid_t l = ctx.g.lid_of(root);
       XTRA_ASSERT(l != kInvalidLid);
@@ -522,6 +523,7 @@ struct DeltaSsspProgram {
   void init(Ctx& ctx) {
     dist.assign(ctx.g.n_total(), kInfDist);
     in_pending.assign(ctx.g.n_total(), 0);
+    pending.clear();
     threshold = delta;
     if (ctx.g.owner_of_gid(root) == ctx.comm.rank()) {
       const lid_t l = ctx.g.lid_of(root);
@@ -651,6 +653,7 @@ struct TriangleCountProgram {
     buckets.begin(ctx.comm.size());
     scale.clear();
     center.clear();
+    sampled_centers = 0;
   }
   /// Stage pass 1 runs through update(); pass 2 + the wire trip run in
   /// finish() (DestBuckets needs the counts before any push).

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "comm/backend.hpp"
-#include "comm/shard_policy.hpp"
 #include "util/types.hpp"
 
 namespace xtra::core {
@@ -53,35 +52,11 @@ struct Params {
   /// bit-identical for any value.
   count_t max_exchange_bytes = 0;
 
-  /// Routing of the ghost-update exchange: flat alltoallv, or the
-  /// two-level node-aware path (node-local gather, coalesced
-  /// leader-to-leader alltoallv, node-local scatter). Results are
-  /// bit-identical; hierarchical trades extra node-local hops for
-  /// fewer inter-node messages. Same value required on every rank.
-  comm::ShardPolicy shard_policy = comm::ShardPolicy::kFlat;
-
   /// Transport of the ghost-update exchange: two-sided matched sends
   /// (the default), or one-sided exposure windows the consumers pull
   /// from (the RMA/remote-fetch style). Results are bit-identical;
   /// same value required on every rank.
   comm::Backend backend = comm::Backend::kTwoSided;
-
-  /// Supersteps a pipelined ghost refresh may stay in flight in the
-  /// kernels built on graph::SuperstepPipeline (the analytics runs the
-  /// benches drive alongside partitioning). 0 drains within the
-  /// superstep — bit-identical to the blocking path; d >= 1 carries up
-  /// to d refreshes across superstep boundaries for
-  /// stale-ghost-tolerant kernels (PageRank, k-core), clamped to
-  /// graph::kMaxPipelineDepth.
-  int pipeline_depth = 0;
-
-  /// Coalescing cadence for the engine-run analytics' sparse ghost
-  /// refresh (engine::Config::coalesce_every): > 0 batches changed
-  /// per-vertex values across that many supersteps in a
-  /// comm::CoalescingExchanger before flushing. 0 keeps the full
-  /// per-superstep halo refresh; 1 flushes every superstep
-  /// (bit-identical to 0).
-  int coalesce_every = 0;
 
   /// Intra-rank worker threads (the "+X" of MPI+X) for the chunked
   /// deterministic sweeps: the partitioner's vert/edge phases and the
@@ -90,15 +65,6 @@ struct Params {
   /// [1, par::kMaxThreads]. Same value required on every rank only for
   /// like-for-like timing — correctness never depends on it.
   int num_threads = 1;
-
-  /// Out-of-core segment-cache budget in bytes for graphs whose
-  /// adjacency has been moved behind graph::SegmentCache
-  /// (DistGraph::enable_out_of_core). 0 = in-core (no cache). The
-  /// budget is advisory plumbing for benches/tools — enabling the
-  /// cache is an explicit collective on the graph, not something the
-  /// partitioner does behind the caller's back; results are
-  /// bit-identical for any budget.
-  count_t cache_budget_bytes = 0;
 
   std::uint64_t seed = 1;
 };

@@ -1,12 +1,11 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
-// PRs 2-4 grew the comm substrate a transport strategy at a time
-// (memory-bounded phasing, hierarchical sharding, cross-superstep
-// pipelining, coalescing), and each analytics kernel exposed whichever
-// subset had been hand-plumbed into it. Config unifies the scattered
-// knobs so every kernel executed by engine::run inherits every
-// transport strategy; from_params() maps the partitioner-facing
-// core::Params fields onto it so benches drive analytics and
+// The comm substrate offers several transport strategies
+// (memory-bounded phasing, one-sided pulls, cross-superstep
+// pipelining, coalescing). Config gathers their knobs so every kernel
+// executed by engine::run inherits every transport strategy;
+// from_params() copies the knobs the partitioner shares with the
+// engine out of core::Params so benches drive analytics and
 // partitioning from one struct.
 #pragma once
 
@@ -15,20 +14,14 @@
 #include <string>
 
 #include "comm/backend.hpp"
-#include "comm/shard_policy.hpp"
 #include "core/params.hpp"
 #include "util/types.hpp"
 
 namespace xtra::engine {
 
 struct Config {
-  /// Routing of every exchange the engine issues (halo refreshes,
-  /// frontier notifications, census/query traffic): flat alltoallv or
-  /// the two-level node-aware path. Results are bit-identical either
-  /// way. Same value required on every rank.
-  comm::ShardPolicy shard_policy = comm::ShardPolicy::kFlat;
-
-  /// Transport of every exchange the engine issues: two-sided matched
+  /// Transport of every exchange the engine issues (halo refreshes,
+  /// frontier notifications, census/query traffic): two-sided matched
   /// sends (the default), or one-sided exposure windows the consumers
   /// pull from (the RMA/remote-fetch style). Results are bit-identical
   /// either way. Same value required on every rank.
@@ -70,14 +63,6 @@ struct Config {
   /// never changes what goes on the wire, only who computes it.
   int num_threads = 1;
 
-  /// Segment-cache budget in bytes when the graph runs out-of-core
-  /// (graph::SegmentCache; 0 = in-core). Carried here so benches and
-  /// tools size the cache from the same knob bag they size everything
-  /// else from; the engine itself reads the graph's out_of_core()
-  /// state (enabling is an explicit collective on the graph). Results
-  /// are bit-identical for any budget.
-  count_t cache_budget_bytes = 0;
-
   /// Superstep cap. kUnbounded (the default) runs change-converging
   /// programs to convergence; fixed-iteration programs must set a
   /// non-negative cap or engine::run throws (0 runs no supersteps at
@@ -85,17 +70,14 @@ struct Config {
   static constexpr count_t kUnbounded = -1;
   count_t max_supersteps = kUnbounded;
 
-  /// Map the partitioner-facing knobs onto an engine config (tol and
-  /// max_supersteps stay per-kernel — set them after).
+  /// Copy the knobs the partitioner shares with the engine (transport,
+  /// chunk size, threads); the analytics-only knobs keep their defaults
+  /// — set them, tol and max_supersteps after.
   static Config from_params(const core::Params& p) {
     Config cfg;
-    cfg.shard_policy = p.shard_policy;
     cfg.backend = p.backend;
     cfg.max_exchange_bytes = p.max_exchange_bytes;
-    cfg.pipeline_depth = p.pipeline_depth;
-    cfg.coalesce_every = p.coalesce_every;
     cfg.num_threads = p.num_threads;
-    cfg.cache_budget_bytes = p.cache_budget_bytes;
     return cfg;
   }
 };
@@ -114,7 +96,6 @@ inline void validate(const Config& cfg, bool fixed_iteration) {
   if (cfg.pipeline_depth < 0) reject("pipeline_depth must be >= 0");
   if (cfg.coalesce_every < 0) reject("coalesce_every must be >= 0");
   if (cfg.max_exchange_bytes < 0) reject("max_exchange_bytes must be >= 0");
-  if (cfg.cache_budget_bytes < 0) reject("cache_budget_bytes must be >= 0");
   if (fixed_iteration && cfg.max_supersteps < 0)
     reject("fixed-iteration programs need max_supersteps");
   if (fixed_iteration && cfg.coalesce_every > 0)

@@ -84,7 +84,6 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const graph::SegCacheStats seg_start = g.segcache_stats();
   FrontierContext<P> ctx{comm, g, cfg};
   graph::FrontierStepper<typename P::Notify> stepper(cfg.max_exchange_bytes,
-                                                     cfg.shard_policy,
                                                      cfg.backend);
   p.init(ctx);
 
@@ -161,7 +160,7 @@ Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const graph::SegCacheStats seg_start = g.segcache_stats();
   MultiFrontierContext<P> ctx{comm, g, cfg};
   graph::MultiSourceStepper<typename P::Notify> stepper(
-      cfg.max_exchange_bytes, cfg.shard_policy, cfg.backend);
+      cfg.max_exchange_bytes, cfg.backend);
   p.init(ctx);
 
   std::vector<count_t> plan;           // out-of-core prefetch order

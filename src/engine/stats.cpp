@@ -11,9 +11,8 @@ std::string Stats::to_json() const {
       "{\"seconds\": %.6f, \"comm_bytes\": %lld, \"supersteps\": %lld, "
       "\"num_threads\": %d, "
       "\"exchanges\": %lld, \"phases\": %lld, \"records_sent\": %lld, "
-      "\"bytes_sent\": %lld, \"inter_node_bytes\": %lld, "
-      "\"intra_node_bytes\": %lld, \"inter_node_msgs\": %lld, "
-      "\"coalesced_flushes\": %lld, \"overlapped\": %lld, "
+      "\"bytes_sent\": %lld, \"coalesced_flushes\": %lld, "
+      "\"overlapped\": %lld, "
       "\"max_inflight_bytes\": %lld, \"drained_incrementally\": %lld, "
       "\"pipeline_carried\": %lld, \"max_pipeline_depth\": %lld, "
       "\"one_sided_gets\": %lld, \"one_sided_bytes\": %lld, "
@@ -26,9 +25,6 @@ std::string Stats::to_json() const {
       static_cast<long long>(exchange.phases),
       static_cast<long long>(exchange.records_sent),
       static_cast<long long>(exchange.bytes_sent),
-      static_cast<long long>(exchange.inter_node_bytes),
-      static_cast<long long>(exchange.intra_node_bytes),
-      static_cast<long long>(exchange.inter_node_msgs),
       static_cast<long long>(exchange.coalesced_flushes),
       static_cast<long long>(exchange.overlapped),
       static_cast<long long>(exchange.max_inflight_bytes),

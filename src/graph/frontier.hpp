@@ -66,9 +66,8 @@ template <typename Notify>
 class FrontierStepper {
  public:
   explicit FrontierStepper(count_t max_send_bytes = 0,
-                           comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
                            comm::Backend backend = comm::Backend::kTwoSided)
-      : ex_(max_send_bytes, policy, backend) {
+      : ex_(max_send_bytes, backend) {
     ex_.set_label("graph::FrontierStepper");
   }
 
@@ -230,9 +229,8 @@ template <typename Notify>
 class MultiSourceStepper {
  public:
   explicit MultiSourceStepper(count_t max_send_bytes = 0,
-                              comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
                               comm::Backend backend = comm::Backend::kTwoSided)
-      : ex_(max_send_bytes, policy, backend) {
+      : ex_(max_send_bytes, backend) {
     ex_.set_label("graph::MultiSourceStepper");
   }
 

@@ -8,8 +8,7 @@
 namespace xtra::graph {
 
 HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g,
-                   comm::ShardPolicy policy, comm::Backend backend) {
-  policy_ = policy;
+                   comm::Backend backend) {
   backend_ = backend;
   add_lane();  // lane 0 — the ring grows on demand (set_pipeline_lanes)
   comm::Exchanger& ex = lanes_.front()->ex;

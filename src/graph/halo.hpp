@@ -9,11 +9,11 @@
 //
 // The plan owns its wire machinery: a ring of prefetch *lanes*, each a
 // persistent staging buffer plus a comm::Exchanger (optionally
-// memory-bounded via set_max_send_bytes, routed flat or hierarchically,
-// pushed two-sided or pulled from one-sided windows per the Backend
-// knob). One lane is enough for the blocking and single-overlap paths;
-// set_pipeline_lanes() grows the ring so several refreshes can ride
-// the substrate's tagged channels (or exposure windows) at once.
+// memory-bounded via set_max_send_bytes, pushed two-sided or pulled
+// from one-sided windows per the Backend knob). One lane is enough for
+// the blocking and single-overlap paths; set_pipeline_lanes() grows
+// the ring so several refreshes can ride the substrate's tagged
+// channels (or exposure windows) at once.
 //
 // Ways to refresh:
 //  * exchange(comm, vals) — blocking, gather + wire + scatter.
@@ -56,13 +56,11 @@ namespace xtra::graph {
 
 class HaloPlan {
  public:
-  /// Collective: ghosts register with their owners once. `policy`
-  /// selects flat or hierarchical routing and `backend` push (matched
-  /// alltoallv) or pull (one-sided windows) transport for the
-  /// registration and every subsequent exchange (bit-identical results
-  /// any way).
+  /// Collective: ghosts register with their owners once. `backend`
+  /// selects push (matched alltoallv) or pull (one-sided windows)
+  /// transport for the registration and every subsequent exchange
+  /// (bit-identical results either way).
   HaloPlan(sim::Comm& comm, const DistGraph& g,
-           comm::ShardPolicy policy = comm::ShardPolicy::kFlat,
            comm::Backend backend = comm::Backend::kTwoSided);
 
   /// Collective: copy vals[owned] into every ghost copy; vals must
@@ -241,12 +239,6 @@ class HaloPlan {
     max_send_bytes_ = bytes;
     for (auto& ln : lanes_) ln->ex.set_max_send_bytes(bytes);
   }
-  /// Route subsequent exchanges flat or hierarchically (same value on
-  /// every rank; results are bit-identical either way).
-  void set_shard_policy(comm::ShardPolicy policy) {
-    policy_ = policy;
-    for (auto& ln : lanes_) ln->ex.set_shard_policy(policy);
-  }
   /// Push (two-sided) or pull (one-sided windows) transport for
   /// subsequent exchanges — same value on every rank, bit-identical
   /// results either way.
@@ -276,14 +268,12 @@ class HaloPlan {
   struct Lane {
     comm::ScratchBuffer scratch;
     comm::Exchanger ex;
-    Lane(count_t max_send_bytes, comm::ShardPolicy policy,
-         comm::Backend backend)
-        : ex(max_send_bytes, policy, backend) {}
+    Lane(count_t max_send_bytes, comm::Backend backend)
+        : ex(max_send_bytes, backend) {}
   };
 
   void add_lane() {
-    lanes_.push_back(
-        std::make_unique<Lane>(max_send_bytes_, policy_, backend_));
+    lanes_.push_back(std::make_unique<Lane>(max_send_bytes_, backend_));
     lanes_.back()->ex.set_label("graph::HaloPlan lane");
   }
 
@@ -310,7 +300,6 @@ class HaloPlan {
 
   // Wire configuration, mirrored here so lanes added later inherit it.
   count_t max_send_bytes_ = 0;
-  comm::ShardPolicy policy_ = comm::ShardPolicy::kFlat;
   comm::Backend backend_ = comm::Backend::kTwoSided;
 
   // FIFO ring of prefetch lanes: prefetch_next starts head_, drains
@@ -323,10 +312,10 @@ class HaloPlan {
 };
 
 /// Ceiling on SuperstepPipeline depth. With the one-sided backend each
-/// in-flight lane holds an exposure window for its whole flight, and a
-/// drain transiently needs one more for the hierarchical rounds — so
-/// depth is capped at sim::kMaxWindows - 1; the two-sided backend's
-/// channel budget (sim::kMaxChannels) is looser.
+/// in-flight lane holds an exposure window for its whole flight, and
+/// the top window is reserved for the out-of-core segment fetch lane
+/// (comm/fetch_lane.hpp) — so depth is capped at sim::kMaxWindows - 1;
+/// the two-sided backend's channel budget (sim::kMaxChannels) is looser.
 inline constexpr int kMaxPipelineDepth = 3;
 
 /// Cross-superstep pipelined ghost-refresh driver.

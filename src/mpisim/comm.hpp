@@ -115,9 +115,8 @@ namespace detail {
 /// Shared state for one world of ranks. Internal to the runtime.
 class WorldState {
  public:
-  explicit WorldState(int nranks, int ranks_per_node = 1)
+  explicit WorldState(int nranks)
       : nranks_(nranks),
-        ranks_per_node_(std::clamp(ranks_per_node, 1, nranks)),
         barrier_(nranks),
         slots_(static_cast<std::size_t>(nranks)),
         aux_slots_(static_cast<std::size_t>(nranks)),
@@ -131,7 +130,6 @@ class WorldState {
         ledger_(verify::kEnabled ? nranks : 0) {}
 
   int nranks() const { return nranks_; }
-  int ranks_per_node() const { return ranks_per_node_; }
 
   /// Barrier that converts a peer failure into WorldAborted.
   void sync() {
@@ -186,7 +184,6 @@ class WorldState {
 
  private:
   int nranks_;
-  int ranks_per_node_;
   std::barrier<> barrier_;
   std::atomic<bool> failed_{false};
   // Publication slots: each rank writes only its own entry between the
@@ -217,27 +214,6 @@ class Comm {
   int rank() const { return rank_; }
   int size() const { return world_->nranks(); }
   bool is_root() const { return rank_ == 0; }
-
-  // --- Node topology view --------------------------------------------
-  // Ranks are grouped into "nodes" of ranks_per_node consecutive ranks
-  // (the last node may be smaller); run_world picks the grouping. A
-  // node's leader is its lowest rank. The hierarchical exchange routes
-  // inter-node traffic through leaders; everything else ignores the
-  // grouping (the default is one rank per node).
-  int ranks_per_node() const { return world_->ranks_per_node(); }
-  int node_of(int rank) const { return rank / ranks_per_node(); }
-  int my_node() const { return node_of(rank_); }
-  int node_count() const {
-    return (size() + ranks_per_node() - 1) / ranks_per_node();
-  }
-  /// Lowest rank of `node` — its leader.
-  int node_leader(int node) const { return node * ranks_per_node(); }
-  bool is_node_leader() const { return rank_ % ranks_per_node() == 0; }
-  /// Half-open rank range [begin, end) of `node`.
-  int node_begin(int node) const { return node * ranks_per_node(); }
-  int node_end(int node) const {
-    return std::min(size(), (node + 1) * ranks_per_node());
-  }
 
   /// Block until every rank in the world reaches the barrier.
   void barrier() {
@@ -1097,11 +1073,8 @@ class Comm {
 
 /// Launch `nranks` rank threads, each running fn(comm). Blocks until
 /// all ranks finish; rethrows the first rank exception (after cleanly
-/// unwinding the rest of the world). `ranks_per_node` groups
-/// consecutive ranks into simulated nodes for the hierarchical
-/// exchange (1 = every rank its own node, the flat default).
-void run_world(int nranks, const std::function<void(Comm&)>& fn,
-               int ranks_per_node = 1);
+/// unwinding the rest of the world).
+void run_world(int nranks, const std::function<void(Comm&)>& fn);
 
 /// run_world, collecting fn's per-rank return values in rank order.
 template <typename T>

@@ -58,7 +58,6 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
   if (n == 0) return results;
 
   graph::MultiSourceStepper<gid_t> stepper(cfg_.engine.max_exchange_bytes,
-                                           cfg_.engine.shard_policy,
                                            cfg_.engine.backend);
   const lid_t stride = g.n_total();
   // Slot-major level planes, reset per admission (slot reuse).

@@ -1,7 +1,7 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // bit-identity matrix against a default-knob run across the transport
-// knobs ({flat, hierarchical} x {two-sided, one-sided} x {pipeline
-// depth 0, 1, 2} x {coalesce 0, 1, 3}), the two engine-native
+// knobs ({two-sided, one-sided} x {pipeline depth 0, 1, 2} x
+// {coalesce 0, 1, 3}), the two engine-native
 // workloads against serial oracles (delta-capped SSSP vs Dijkstra,
 // approximate triangle count vs an exact serial count), and the
 // Stats/Config plumbing, including the rejection of invalid Configs.
@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -42,27 +43,19 @@ std::vector<T> by_gid(sim::Comm& comm, const DistGraph& g,
   return global;
 }
 
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided / XTRA_TEST_SHARD=hier
-/// re-drive the result-correctness tests through the alternate
-/// transport. Exact-billing assertions never read these — a billing
-/// contract is per-backend by definition.
+/// CI matrix hook: XTRA_TEST_BACKEND=onesided re-drives the
+/// result-correctness tests through the alternate transport.
+/// Exact-billing assertions never read it — a billing contract is
+/// per-backend by definition.
 comm::Backend env_backend() {
   const char* v = std::getenv("XTRA_TEST_BACKEND");
   return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
                                                 : comm::Backend::kTwoSided;
 }
 
-comm::ShardPolicy env_shard() {
-  const char* v = std::getenv("XTRA_TEST_SHARD");
-  return v && std::string_view(v) == "hier"
-             ? comm::ShardPolicy::kHierarchical
-             : comm::ShardPolicy::kFlat;
-}
-
 engine::Config env_cfg() {
   engine::Config cfg;
   cfg.backend = env_backend();
-  cfg.shard_policy = env_shard();
   return cfg;
 }
 
@@ -95,36 +88,29 @@ DistGraph build_graph(sim::Comm& comm, const EdgeList& el,
 /// engine must drive every kernel through. Pipeline depth and
 /// coalescing are exclusive staleness regimes, so the matrix sweeps
 /// depth {0, 1, 2} at coalesce 0 and coalesce {1, 3} at depth 0 —
-/// each crossed with both routing policies and both wire backends.
+/// each crossed with both wire backends.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
-    for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-      for (const int depth : {0, 1, 2}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.pipeline_depth = depth;
-        cfgs.push_back(cfg);
-      }
-      for (const int coalesce : {1, 3}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.coalesce_every = coalesce;
-        cfgs.push_back(cfg);
-      }
+  for (const comm::Backend backend :
+       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
+    for (const int depth : {0, 1, 2}) {
+      engine::Config cfg;
+      cfg.backend = backend;
+      cfg.pipeline_depth = depth;
+      cfgs.push_back(cfg);
     }
+    for (const int coalesce : {1, 3}) {
+      engine::Config cfg;
+      cfg.backend = backend;
+      cfg.coalesce_every = coalesce;
+      cfgs.push_back(cfg);
+    }
+  }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string(cfg.shard_policy == comm::ShardPolicy::kFlat
-                         ? "flat"
-                         : "hier") +
-         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") +
+  return std::string(cfg.backend == comm::Backend::kOneSided ? "1s" : "2s") +
          "/d" + std::to_string(cfg.pipeline_depth) + "/c" +
          std::to_string(cfg.coalesce_every);
 }
@@ -151,21 +137,18 @@ TEST(EngineMatrix, WccBitIdenticalAcrossAllKnobs) {
     }
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-          WccProgram p;
-          engine::run(comm, g, p, cfg);
-          const auto global = by_gid(comm, g, p.component);
-          if (comm.rank() == 0) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-            EXPECT_EQ(p.num_components, ref_num) << cfg_name(cfg);
-            EXPECT_EQ(p.largest_size, ref_largest) << cfg_name(cfg);
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+      WccProgram p;
+      engine::run(comm, g, p, cfg);
+      const auto global = by_gid(comm, g, p.component);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+        EXPECT_EQ(p.num_components, ref_num) << cfg_name(cfg);
+        EXPECT_EQ(p.largest_size, ref_largest) << cfg_name(cfg);
+      }
+    });
   }
 }
 
@@ -181,21 +164,18 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 5));
-          KCoreProgram p;
-          engine::Config run_cfg = cfg;
-          run_cfg.max_supersteps = 40;
-          engine::run(comm, g, p, run_cfg);
-          const auto global = by_gid(comm, g, p.core);
-          if (comm.rank() == 0) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::random(el.n, 4, 5));
+      KCoreProgram p;
+      engine::Config run_cfg = cfg;
+      run_cfg.max_supersteps = 40;
+      engine::run(comm, g, p, run_cfg);
+      const auto global = by_gid(comm, g, p.core);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+      }
+    });
   }
 }
 
@@ -220,33 +200,30 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
     if (comm.rank() == 0) ref = global;
   });
   for (const engine::Config& cfg : knob_matrix()) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 4));
-          CommLpProgram p;
-          engine::Config run_cfg = cfg;
-          run_cfg.max_supersteps = 10;
-          engine::run(comm, g, p, run_cfg);
-          const bool exact =
-              cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
-          const auto global = by_gid(comm, g, p.label);
-          if (comm.rank() == 0 && exact) {
-            EXPECT_EQ(global, ref) << cfg_name(cfg);
-          }
-          // Stale or not, the planted communities must be recovered.
-          EXPECT_EQ(p.num_communities, 2) << cfg_name(cfg);
-          for (lid_t v = 0; v < g.n_local(); ++v)
-            EXPECT_EQ(p.label[v], g.gid_of(v) < 20 ? 0u : 20u)
-                << cfg_name(cfg);
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::random(el.n, 4, 4));
+      CommLpProgram p;
+      engine::Config run_cfg = cfg;
+      run_cfg.max_supersteps = 10;
+      engine::run(comm, g, p, run_cfg);
+      const bool exact =
+          cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
+      const auto global = by_gid(comm, g, p.label);
+      if (comm.rank() == 0 && exact) {
+        EXPECT_EQ(global, ref) << cfg_name(cfg);
+      }
+      // Stale or not, the planted communities must be recovered.
+      EXPECT_EQ(p.num_communities, 2) << cfg_name(cfg);
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        EXPECT_EQ(p.label[v], g.gid_of(v) < 20 ? 0u : 20u)
+            << cfg_name(cfg);
+    });
   }
 }
 
 // PageRank is fixed-iteration: the transport knobs that preserve the
-// read schedule (policy, chunk size, depth 0) are bit-identical; a
+// read schedule (backend, chunk size, depth 0) are bit-identical; a
 // depth-1 run reads one-superstep-stale ghost contributions but must
 // still conserve mass.
 TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
@@ -263,30 +240,27 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
     comm.allreduce_max(global);
     if (comm.rank() == 0) ref = global;
   });
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
+  for (const comm::Backend backend :
+       {comm::Backend::kTwoSided, comm::Backend::kOneSided})
     for (const count_t chunk : {count_t{0}, count_t{1} << 10}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g = build_graph(
-                comm, el, VertexDist::random(el.n, 4, 3));
-            PageRankProgram p;
-            engine::Config cfg;
-            cfg.max_supersteps = 12;
-            cfg.shard_policy = policy;
-            cfg.max_exchange_bytes = chunk;
-            engine::run(comm, g, p, cfg);
-            std::vector<double> global(g.n_global(), 0.0);
-            for (lid_t v = 0; v < g.n_local(); ++v)
-              global[g.gid_of(v)] = p.rank[v];
-            comm.allreduce_max(global);
-            if (comm.rank() == 0) {
-              EXPECT_EQ(global, ref);
-            }
-            EXPECT_NEAR(p.sum, 1.0, 1e-9);
-          },
-          /*ranks_per_node=*/2);
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        PageRankProgram p;
+        engine::Config cfg;
+        cfg.max_supersteps = 12;
+        cfg.backend = backend;
+        cfg.max_exchange_bytes = chunk;
+        engine::run(comm, g, p, cfg);
+        std::vector<double> global(g.n_global(), 0.0);
+        for (lid_t v = 0; v < g.n_local(); ++v)
+          global[g.gid_of(v)] = p.rank[v];
+        comm.allreduce_max(global);
+        if (comm.rank() == 0) {
+          EXPECT_EQ(global, ref);
+        }
+        EXPECT_NEAR(p.sum, 1.0, 1e-9);
+      });
     }
   // Depth 1: stale-but-contracting — run to residual convergence,
   // where the one-superstep ghost lag has washed out and mass is
@@ -306,29 +280,23 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
 }
 
 // The composites route every engine run they issue through cfg: both
-// must produce identical results under hierarchical routing.
-TEST(EngineMatrix, HarmonicAndSccIdenticalUnderHierarchicalRouting) {
+// must produce identical results under the one-sided backend and a
+// chunked exchange.
+TEST(EngineMatrix, HarmonicAndSccIdenticalUnderTransportKnobs) {
   const EdgeList directed = gen::webcrawl(2'000, 10, 3);
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g = build_graph(
-              comm, directed, VertexDist::random(directed.n, 4, 3));
-          engine::Config cfg;
-          cfg.shard_policy = policy;
-          const HarmonicResult flat_h = harmonic_centrality(comm, g, 4, 9);
-          const HarmonicResult h =
-              harmonic_centrality(comm, g, 4, 9, cfg);
-          EXPECT_EQ(h.centrality, flat_h.centrality);
-          const SccResult flat_s = largest_scc(comm, g);
-          const SccResult s = largest_scc(comm, g, cfg);
-          EXPECT_EQ(s.scc_size, flat_s.scc_size);
-          EXPECT_EQ(s.in_scc, flat_s.in_scc);
-        },
-        /*ranks_per_node=*/2);
-  }
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_graph(comm, directed, VertexDist::random(directed.n, 4, 3));
+    const engine::Config cfg{.backend = comm::Backend::kOneSided,
+                             .max_exchange_bytes = count_t{1} << 10};
+    const HarmonicResult ref_h = harmonic_centrality(comm, g, 4, 9);
+    const HarmonicResult h = harmonic_centrality(comm, g, 4, 9, cfg);
+    EXPECT_EQ(h.centrality, ref_h.centrality);
+    const SccResult ref_s = largest_scc(comm, g);
+    const SccResult s = largest_scc(comm, g, cfg);
+    EXPECT_EQ(s.scc_size, ref_s.scc_size);
+    EXPECT_EQ(s.in_scc, ref_s.in_scc);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -604,19 +572,16 @@ TEST(EngineStats, LedgerAndJsonExport) {
 
 TEST(EngineConfig, FromParamsMapsEveryKnob) {
   core::Params params;
-  params.shard_policy = comm::ShardPolicy::kHierarchical;
   params.backend = comm::Backend::kOneSided;
   params.max_exchange_bytes = 1 << 14;
-  params.pipeline_depth = 2;
-  params.coalesce_every = 3;
-  params.cache_budget_bytes = 1 << 16;
+  params.num_threads = 4;
   const engine::Config cfg = engine::Config::from_params(params);
-  EXPECT_EQ(cfg.shard_policy, comm::ShardPolicy::kHierarchical);
   EXPECT_EQ(cfg.backend, comm::Backend::kOneSided);
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
-  EXPECT_EQ(cfg.pipeline_depth, 2);
-  EXPECT_EQ(cfg.coalesce_every, 3);
-  EXPECT_EQ(cfg.cache_budget_bytes, 1 << 16);
+  EXPECT_EQ(cfg.num_threads, 4);
+  // The analytics-only knobs keep their defaults.
+  EXPECT_EQ(cfg.pipeline_depth, 0);
+  EXPECT_EQ(cfg.coalesce_every, 0);
   EXPECT_EQ(cfg.tol, 0.0);
   EXPECT_EQ(cfg.max_supersteps, engine::Config::kUnbounded);
 }
@@ -650,7 +615,6 @@ TEST(EngineConfig, InvalidConfigThrowsOnEveryRank) {
       {"pipeline_depth -1", {.pipeline_depth = -1}},
       {"coalesce_every -1", {.coalesce_every = -1}},
       {"max_exchange_bytes -1", {.max_exchange_bytes = -1}},
-      {"cache_budget_bytes -1", {.cache_budget_bytes = -1}},
   };
   // Fixed-iteration programs additionally need a cap and refuse the
   // coalesced refresh.
@@ -700,6 +664,102 @@ TEST(EngineConfig, InvalidConfigThrowsOnEveryRank) {
 }
 
 // ---------------------------------------------------------------------------
+// Program objects are reusable: run() must not carry any result of an
+// earlier run into the next one.
+
+/// Set up one program object with `first` and run it under cfg, then
+/// apply `second` and run it again; a fresh object given both set-ups
+/// must report the same results as the second run.
+template <typename P, typename First, typename Second, typename Results>
+void expect_rerun_matches_fresh(sim::Comm& comm, const DistGraph& g,
+                                const engine::Config& cfg, First&& first,
+                                Second&& second, Results&& results) {
+  P reused;
+  first(reused);
+  engine::run(comm, g, reused, cfg);
+  second(reused);
+  engine::run(comm, g, reused, cfg);
+  P fresh;
+  first(fresh);
+  second(fresh);
+  engine::run(comm, g, fresh, cfg);
+  EXPECT_EQ(results(reused), results(fresh));
+}
+
+TEST(EngineReuse, EveryProgramRunTwiceReportsFreshResults) {
+  // One graph per world: a remote-backed segment cache (the
+  // XTRA_TEST_OOC hook) holds the world's fetch window while it lives.
+  const auto on_graph = [](const EdgeList& el, auto&& body) {
+    for (const int nranks : {1, 2})
+      sim::run_world(nranks, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_graph(comm, el, VertexDist::block(el.n, nranks));
+        body(comm, g);
+      });
+  };
+  const auto same = [](auto&) {};
+
+  on_graph(gen::erdos_renyi(300, 8, 9), [&](sim::Comm& comm,
+                                            const DistGraph& g) {
+    const engine::Config capped{.max_supersteps = 20};
+    expect_rerun_matches_fresh<PageRankProgram>(
+        comm, g, capped, same, same,
+        [](const PageRankProgram& p) { return std::tuple(p.rank, p.sum); });
+    expect_rerun_matches_fresh<WccProgram>(
+        comm, g, {}, same, same, [](const WccProgram& p) {
+          return std::tuple(p.component, p.num_components, p.largest_size);
+        });
+    expect_rerun_matches_fresh<CommLpProgram>(
+        comm, g, capped, same, same, [](const CommLpProgram& p) {
+          return std::tuple(p.label, p.num_communities);
+        });
+    expect_rerun_matches_fresh<KCoreProgram>(
+        comm, g, {}, same, same, [](const KCoreProgram& p) {
+          return std::tuple(p.core, p.max_core);
+        });
+    // A capped first run leaves deferred vertices pending.
+    DeltaSsspProgram reused;
+    reused.delta = 2;
+    engine::run(comm, g, reused, {.max_supersteps = 2});
+    engine::run(comm, g, reused);
+    DeltaSsspProgram fresh;
+    fresh.delta = 2;
+    engine::run(comm, g, fresh);
+    EXPECT_EQ(reused.dist, fresh.dist);
+    // A small sample cap makes most centers count as sampled.
+    expect_rerun_matches_fresh<TriangleCountProgram>(
+        comm, g, {.max_supersteps = 1},
+        [](TriangleCountProgram& p) { p.sample_cap = 4; }, same,
+        [](const TriangleCountProgram& p) {
+          return std::tuple(p.triangles, p.sampled_centers);
+        });
+  });
+
+  // A 40-vertex path plus one isolated vertex (gid 40).
+  EdgeList path;
+  path.n = 41;
+  for (gid_t v = 0; v + 1 < 40; ++v) path.edges.push_back({v, v + 1});
+  on_graph(path, [&](sim::Comm& comm, const DistGraph& g) {
+    // Deep first run (root at the path's end), then a run from the
+    // isolated vertex, which reaches nothing.
+    expect_rerun_matches_fresh<BfsProgram>(
+        comm, g, {}, same, [](BfsProgram& p) { p.root = 40; },
+        [](const BfsProgram& p) { return std::tuple(p.levels, p.ecc); });
+    expect_rerun_matches_fresh<MultiBfsProgram>(
+        comm, g, {}, [](MultiBfsProgram& p) { p.roots = {0, 39}; },
+        [](MultiBfsProgram& p) { p.roots = {20, 5}; },
+        [](const MultiBfsProgram& p) { return std::tuple(p.levels, p.ecc); });
+  });
+
+  on_graph(gen::webcrawl(300, 6, 3), [&](sim::Comm& comm,
+                                         const DistGraph& g) {
+    expect_rerun_matches_fresh<SccTrimProgram>(
+        comm, g, {}, same, same,
+        [](const SccTrimProgram& p) { return p.active; });
+  });
+}
+
+// ---------------------------------------------------------------------------
 // MPI+X thread determinism. The intra-rank thread width is a pure
 // throughput knob: every transport cell must produce byte-identical
 // per-vertex results AND an identical wire ledger at threads = 1, 2, 8
@@ -712,12 +772,10 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
   return {st.comm_bytes,          st.supersteps,
           ex.exchanges,           ex.phases,
           ex.records_sent,        ex.bytes_sent,
-          ex.inter_node_bytes,    ex.intra_node_bytes,
-          ex.inter_node_msgs,     ex.coalesced_flushes,
-          ex.overlapped,          ex.max_inflight_bytes,
-          ex.drained_incrementally, ex.pipeline_carried,
-          ex.max_pipeline_depth,    ex.one_sided_gets,
-          ex.one_sided_bytes};
+          ex.coalesced_flushes,   ex.overlapped,
+          ex.max_inflight_bytes,  ex.drained_incrementally,
+          ex.pipeline_carried,    ex.max_pipeline_depth,
+          ex.one_sided_gets,      ex.one_sided_bytes};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
@@ -729,32 +787,29 @@ TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
     std::vector<double> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g =
-                build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-            PageRankProgram p;
-            engine::Config cfg = base;
-            cfg.max_supersteps = 12;
-            cfg.num_threads = threads;
-            const engine::Stats st = engine::run(comm, g, p, cfg);
-            EXPECT_EQ(st.num_threads, threads) << cfg_name(base);
-            const auto global = by_gid(comm, g, p.rank);
-            auto wire = wire_ledger(st);
-            comm.allreduce_max(wire);  // any rank drift fails the compare
-            if (comm.rank() != 0) return;
-            if (threads == 1) {
-              ref = global;
-              ref_wire = wire;
-            } else {
-              EXPECT_EQ(global, ref)
-                  << cfg_name(base) << " threads=" << threads;
-              EXPECT_EQ(wire, ref_wire)
-                  << cfg_name(base) << " threads=" << threads;
-            }
-          },
-          /*ranks_per_node=*/2);
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+        PageRankProgram p;
+        engine::Config cfg = base;
+        cfg.max_supersteps = 12;
+        cfg.num_threads = threads;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        EXPECT_EQ(st.num_threads, threads) << cfg_name(base);
+        const auto global = by_gid(comm, g, p.rank);
+        auto wire = wire_ledger(st);
+        comm.allreduce_max(wire);  // any rank drift fails the compare
+        if (comm.rank() != 0) return;
+        if (threads == 1) {
+          ref = global;
+          ref_wire = wire;
+        } else {
+          EXPECT_EQ(global, ref)
+              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(wire, ref_wire)
+              << cfg_name(base) << " threads=" << threads;
+        }
+      });
     }
   }
 }
@@ -765,31 +820,28 @@ TEST(EngineThreads, CommLpBitIdenticalAcrossThreadCountsAndKnobs) {
     std::vector<gid_t> ref;
     std::vector<count_t> ref_wire;
     for (const int threads : {1, 2, 8}) {
-      sim::run_world(
-          4,
-          [&](sim::Comm& comm) {
-            const DistGraph g =
-                build_graph(comm, el, VertexDist::random(el.n, 4, 4));
-            CommLpProgram p;
-            engine::Config cfg = base;
-            cfg.max_supersteps = 10;
-            cfg.num_threads = threads;
-            const engine::Stats st = engine::run(comm, g, p, cfg);
-            const auto global = by_gid(comm, g, p.label);
-            auto wire = wire_ledger(st);
-            comm.allreduce_max(wire);
-            if (comm.rank() != 0) return;
-            if (threads == 1) {
-              ref = global;
-              ref_wire = wire;
-            } else {
-              EXPECT_EQ(global, ref)
-                  << cfg_name(base) << " threads=" << threads;
-              EXPECT_EQ(wire, ref_wire)
-                  << cfg_name(base) << " threads=" << threads;
-            }
-          },
-          /*ranks_per_node=*/2);
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g =
+            build_graph(comm, el, VertexDist::random(el.n, 4, 4));
+        CommLpProgram p;
+        engine::Config cfg = base;
+        cfg.max_supersteps = 10;
+        cfg.num_threads = threads;
+        const engine::Stats st = engine::run(comm, g, p, cfg);
+        const auto global = by_gid(comm, g, p.label);
+        auto wire = wire_ledger(st);
+        comm.allreduce_max(wire);
+        if (comm.rank() != 0) return;
+        if (threads == 1) {
+          ref = global;
+          ref_wire = wire;
+        } else {
+          EXPECT_EQ(global, ref)
+              << cfg_name(base) << " threads=" << threads;
+          EXPECT_EQ(wire, ref_wire)
+              << cfg_name(base) << " threads=" << threads;
+        }
+      });
     }
   }
 }
@@ -883,29 +935,26 @@ TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
   for (const comm::Backend backend :
        {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          const DistGraph g =
-              build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-          WccProgram p;
-          engine::Config cfg;
-          cfg.pipeline_depth = 2;
-          cfg.backend = backend;
-          const engine::Stats st = engine::run(comm, g, p, cfg);
-          EXPECT_GT(st.exchange.pipeline_carried, 0);
-          EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
-          if (backend == comm::Backend::kOneSided) {
-            EXPECT_GT(st.exchange.one_sided_gets, 0);
-            EXPECT_GT(st.exchange.one_sided_bytes, 0);
-          } else {
-            EXPECT_EQ(st.exchange.one_sided_gets, 0);
-          }
-          const std::string json = st.to_json();
-          EXPECT_NE(json.find("\"one_sided_gets\""), std::string::npos);
-          EXPECT_NE(json.find("\"one_sided_bytes\""), std::string::npos);
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+      WccProgram p;
+      engine::Config cfg;
+      cfg.pipeline_depth = 2;
+      cfg.backend = backend;
+      const engine::Stats st = engine::run(comm, g, p, cfg);
+      EXPECT_GT(st.exchange.pipeline_carried, 0);
+      EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
+      if (backend == comm::Backend::kOneSided) {
+        EXPECT_GT(st.exchange.one_sided_gets, 0);
+        EXPECT_GT(st.exchange.one_sided_bytes, 0);
+      } else {
+        EXPECT_EQ(st.exchange.one_sided_gets, 0);
+      }
+      const std::string json = st.to_json();
+      EXPECT_NE(json.find("\"one_sided_gets\""), std::string::npos);
+      EXPECT_NE(json.find("\"one_sided_bytes\""), std::string::npos);
+    });
   }
 }
 

@@ -38,45 +38,6 @@ TEST_P(WorldSizes, BarrierCompletes) {
   });
 }
 
-TEST(Topology, DefaultIsOneRankPerNode) {
-  run_world(4, [](Comm& comm) {
-    EXPECT_EQ(comm.ranks_per_node(), 1);
-    EXPECT_EQ(comm.node_count(), comm.size());
-    EXPECT_EQ(comm.my_node(), comm.rank());
-    EXPECT_TRUE(comm.is_node_leader());
-  });
-}
-
-TEST(Topology, GroupsConsecutiveRanksWithUnevenTail) {
-  // 10 ranks, 4 per node: nodes {0..3}, {4..7}, {8,9} — the last node
-  // is smaller, its leader is rank 8.
-  run_world(
-      10,
-      [](Comm& comm) {
-        EXPECT_EQ(comm.ranks_per_node(), 4);
-        EXPECT_EQ(comm.node_count(), 3);
-        EXPECT_EQ(comm.my_node(), comm.rank() / 4);
-        EXPECT_EQ(comm.node_leader(comm.my_node()), (comm.rank() / 4) * 4);
-        EXPECT_EQ(comm.is_node_leader(), comm.rank() % 4 == 0);
-        EXPECT_EQ(comm.node_begin(2), 8);
-        EXPECT_EQ(comm.node_end(2), 10);
-        EXPECT_EQ(comm.node_end(0), 4);
-      },
-      4);
-}
-
-TEST(Topology, RanksPerNodeClampsToWorldSize) {
-  run_world(
-      3,
-      [](Comm& comm) {
-        EXPECT_EQ(comm.ranks_per_node(), 3);
-        EXPECT_EQ(comm.node_count(), 1);
-        EXPECT_EQ(comm.my_node(), 0);
-        EXPECT_EQ(comm.is_node_leader(), comm.rank() == 0);
-      },
-      64);
-}
-
 TEST_P(WorldSizes, BcastDeliversRootData) {
   const int n = GetParam();
   run_world(n, [n](Comm& comm) {

@@ -57,14 +57,13 @@ std::vector<T> by_gid(sim::Comm& comm, const DistGraph& g,
 /// traffic).
 std::vector<count_t> wire_ledger(const engine::Stats& st) {
   const comm::ExchangeStats& ex = st.exchange;
-  return {st.supersteps,          ex.exchanges,
-          ex.phases,              ex.records_sent,
-          ex.bytes_sent,          ex.inter_node_bytes,
-          ex.intra_node_bytes,    ex.inter_node_msgs,
-          ex.coalesced_flushes,   ex.overlapped,
-          ex.max_inflight_bytes,  ex.drained_incrementally,
-          ex.pipeline_carried,    ex.max_pipeline_depth,
-          ex.one_sided_gets,      ex.one_sided_bytes};
+  return {st.supersteps,         ex.exchanges,
+          ex.phases,             ex.records_sent,
+          ex.bytes_sent,         ex.coalesced_flushes,
+          ex.overlapped,         ex.max_inflight_bytes,
+          ex.drained_incrementally, ex.pipeline_carried,
+          ex.max_pipeline_depth, ex.one_sided_gets,
+          ex.one_sided_bytes};
 }
 
 // ---------------------------------------------------------------------------
@@ -183,32 +182,29 @@ TEST(SegCache, RemoteBackingRoundTripsAndClosesCleanly) {
   // 4 ranks, rank 0 hosts everyone's segments; each rank's slice must
   // come back byte-exact and the fetch-lane window must be unexposed
   // before the world ends (the comm verifier audits the lifecycle).
-  sim::run_world(
-      4,
-      [&](sim::Comm& comm) {
-        const count_t n = 300 + 100 * comm.rank();
-        std::vector<lid_t> src(static_cast<std::size_t>(n));
-        std::iota(src.begin(), src.end(),
-                  static_cast<lid_t>(10000 * (comm.rank() + 1)));
-        SegCacheOptions opt;
-        opt.backing = SegBacking::kRemote;
-        opt.host_rank = 0;
-        opt.segment_bytes = 256;  // 32 entries: plenty of segments
-        opt.budget_bytes = 512;   // 2 frames
-        SegmentCache cache(comm, std::vector<lid_t>(src), opt);
-        for (const auto& [b, e] : {std::pair<count_t, count_t>{0, 5},
-                                  {40, 100},
-                                  {n - 7, n}}) {
-          const NeighborRef r = cache.borrow(b, e);
-          ASSERT_EQ(r.size(), static_cast<std::size_t>(e - b));
-          for (count_t i = b; i < e; ++i)
-            EXPECT_EQ(r[static_cast<std::size_t>(i - b)],
-                      src[static_cast<std::size_t>(i)]);
-        }
-        EXPECT_GT(cache.stats().seg_fetch_bytes, 0);
-        cache.close(comm);
-      },
-      /*ranks_per_node=*/2);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const count_t n = 300 + 100 * comm.rank();
+    std::vector<lid_t> src(static_cast<std::size_t>(n));
+    std::iota(src.begin(), src.end(),
+              static_cast<lid_t>(10000 * (comm.rank() + 1)));
+    SegCacheOptions opt;
+    opt.backing = SegBacking::kRemote;
+    opt.host_rank = 0;
+    opt.segment_bytes = 256;  // 32 entries: plenty of segments
+    opt.budget_bytes = 512;   // 2 frames
+    SegmentCache cache(comm, std::vector<lid_t>(src), opt);
+    for (const auto& [b, e] : {std::pair<count_t, count_t>{0, 5},
+                              {40, 100},
+                              {n - 7, n}}) {
+      const NeighborRef r = cache.borrow(b, e);
+      ASSERT_EQ(r.size(), static_cast<std::size_t>(e - b));
+      for (count_t i = b; i < e; ++i)
+        EXPECT_EQ(r[static_cast<std::size_t>(i - b)],
+                  src[static_cast<std::size_t>(i)]);
+    }
+    EXPECT_GT(cache.stats().seg_fetch_bytes, 0);
+    cache.close(comm);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -217,34 +213,31 @@ TEST(SegCache, RemoteBackingRoundTripsAndClosesCleanly) {
 TEST(SegCacheGraph, ArcsMatchInCoreAdjacencyBothBackings) {
   const EdgeList el = gen::community_graph(600, 8, 0.7, 2.3, 5);
   for (const SegBacking backing : {SegBacking::kMmap, SegBacking::kRemote}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          DistGraph g = build_dist_graph(
-              comm, el, VertexDist::random(el.n, 4, 3));
-          std::vector<std::vector<lid_t>> expect(g.n_local());
-          for (lid_t v = 0; v < g.n_local(); ++v) {
-            const auto s = g.neighbors(v);
-            expect[v] = {s.begin(), s.end()};
-          }
-          SegCacheOptions opt;
-          opt.backing = backing;
-          opt.segment_bytes = 1 << 9;
-          opt.budget_bytes = working_set_bytes(g) / 4;
-          g.enable_out_of_core(comm, opt);
-          EXPECT_TRUE(g.out_of_core());
-          for (lid_t v = 0; v < g.n_local(); ++v)
-            EXPECT_EQ(to_vec(g.arcs(v)), expect[v]) << "lid " << v;
-          EXPECT_GT(g.segcache_stats().seg_misses, 0);
-          g.disable_out_of_core(comm);
-          EXPECT_FALSE(g.out_of_core());
-          // In-core arrays restored bit-exact.
-          for (lid_t v = 0; v < g.n_local(); ++v) {
-            const auto s = g.neighbors(v);
-            EXPECT_EQ(std::vector<lid_t>(s.begin(), s.end()), expect[v]);
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      DistGraph g = build_dist_graph(
+          comm, el, VertexDist::random(el.n, 4, 3));
+      std::vector<std::vector<lid_t>> expect(g.n_local());
+      for (lid_t v = 0; v < g.n_local(); ++v) {
+        const auto s = g.neighbors(v);
+        expect[v] = {s.begin(), s.end()};
+      }
+      SegCacheOptions opt;
+      opt.backing = backing;
+      opt.segment_bytes = 1 << 9;
+      opt.budget_bytes = working_set_bytes(g) / 4;
+      g.enable_out_of_core(comm, opt);
+      EXPECT_TRUE(g.out_of_core());
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        EXPECT_EQ(to_vec(g.arcs(v)), expect[v]) << "lid " << v;
+      EXPECT_GT(g.segcache_stats().seg_misses, 0);
+      g.disable_out_of_core(comm);
+      EXPECT_FALSE(g.out_of_core());
+      // In-core arrays restored bit-exact.
+      for (lid_t v = 0; v < g.n_local(); ++v) {
+        const auto s = g.neighbors(v);
+        EXPECT_EQ(std::vector<lid_t>(s.begin(), s.end()), expect[v]);
+      }
+    });
   }
 }
 
@@ -297,33 +290,27 @@ TEST(SegCacheGraph, DirectedInArcsMatchAndZeroDegreeSafe) {
 
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const comm::ShardPolicy policy :
-       {comm::ShardPolicy::kFlat, comm::ShardPolicy::kHierarchical})
-    for (const comm::Backend backend :
-         {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-      for (const int depth : {0, 1, 2}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.pipeline_depth = depth;
-        cfgs.push_back(cfg);
-      }
-      for (const int coalesce : {1, 3}) {
-        engine::Config cfg;
-        cfg.shard_policy = policy;
-        cfg.backend = backend;
-        cfg.coalesce_every = coalesce;
-        cfgs.push_back(cfg);
-      }
+  for (const comm::Backend backend :
+       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
+    for (const int depth : {0, 1, 2}) {
+      engine::Config cfg;
+      cfg.backend = backend;
+      cfg.pipeline_depth = depth;
+      cfgs.push_back(cfg);
     }
+    for (const int coalesce : {1, 3}) {
+      engine::Config cfg;
+      cfg.backend = backend;
+      cfg.coalesce_every = coalesce;
+      cfgs.push_back(cfg);
+    }
+  }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string(cfg.shard_policy == comm::ShardPolicy::kFlat ? "flat"
-                                                                  : "hier") +
-         (cfg.backend == comm::Backend::kOneSided ? "/1s" : "/2s") + "/d" +
-         std::to_string(cfg.pipeline_depth) + "/c" +
+  return std::string(cfg.backend == comm::Backend::kOneSided ? "1s" : "2s") +
+         "/d" + std::to_string(cfg.pipeline_depth) + "/c" +
          std::to_string(cfg.coalesce_every);
 }
 
@@ -334,45 +321,42 @@ TEST(SegCacheMatrix, WccBitIdenticalAndWireLedgerEqualUnderPressure) {
       std::vector<gid_t> ref;
       std::vector<count_t> ref_wire;
       for (const bool ooc : {false, true}) {
-        sim::run_world(
-            4,
-            [&](sim::Comm& comm) {
-              DistGraph g = build_dist_graph(
-                  comm, el, VertexDist::random(el.n, 4, 3));
-              if (ooc) {
-                SegCacheOptions opt;
-                opt.backing = backing;
-                opt.budget_bytes = working_set_bytes(g) / 4;
-                g.enable_out_of_core(comm, opt);
-              }
-              WccProgram p;
-              const engine::Stats st = engine::run(comm, g, p, cfg);
-              const auto global = by_gid(comm, g, p.component);
-              auto wire = wire_ledger(st);
-              comm.allreduce_max(wire);
-              if (ooc) {
-                EXPECT_GT(st.exchange.seg_misses, 0) << cfg_name(cfg);
-                g.disable_out_of_core(comm);
-              } else {
-                EXPECT_EQ(st.exchange.seg_misses, 0);
-                EXPECT_EQ(st.exchange.seg_fetch_bytes, 0);
-              }
-              if (comm.rank() != 0) return;
-              if (!ooc) {
-                ref = global;
-                ref_wire = wire;
-              } else {
-                EXPECT_EQ(global, ref)
-                    << cfg_name(cfg) << (backing == SegBacking::kMmap
-                                             ? " mmap"
-                                             : " remote");
-                EXPECT_EQ(wire, ref_wire)
-                    << cfg_name(cfg) << (backing == SegBacking::kMmap
-                                             ? " mmap"
-                                             : " remote");
-              }
-            },
-            /*ranks_per_node=*/2);
+        sim::run_world(4, [&](sim::Comm& comm) {
+          DistGraph g = build_dist_graph(
+              comm, el, VertexDist::random(el.n, 4, 3));
+          if (ooc) {
+            SegCacheOptions opt;
+            opt.backing = backing;
+            opt.budget_bytes = working_set_bytes(g) / 4;
+            g.enable_out_of_core(comm, opt);
+          }
+          WccProgram p;
+          const engine::Stats st = engine::run(comm, g, p, cfg);
+          const auto global = by_gid(comm, g, p.component);
+          auto wire = wire_ledger(st);
+          comm.allreduce_max(wire);
+          if (ooc) {
+            EXPECT_GT(st.exchange.seg_misses, 0) << cfg_name(cfg);
+            g.disable_out_of_core(comm);
+          } else {
+            EXPECT_EQ(st.exchange.seg_misses, 0);
+            EXPECT_EQ(st.exchange.seg_fetch_bytes, 0);
+          }
+          if (comm.rank() != 0) return;
+          if (!ooc) {
+            ref = global;
+            ref_wire = wire;
+          } else {
+            EXPECT_EQ(global, ref)
+                << cfg_name(cfg) << (backing == SegBacking::kMmap
+                                         ? " mmap"
+                                         : " remote");
+            EXPECT_EQ(wire, ref_wire)
+                << cfg_name(cfg) << (backing == SegBacking::kMmap
+                                         ? " mmap"
+                                         : " remote");
+          }
+        });
       }
     }
   }
@@ -392,75 +376,72 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
     count_t comm_bytes = -1;
   } ref;
   const auto run = [&](SegBacking backing, bool ooc) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          DistGraph g = build_dist_graph(
-              comm, el, VertexDist::random(el.n, 4, 3));
-          const count_t working = working_set_bytes(g);
-          if (ooc) {
-            SegCacheOptions opt;
-            opt.backing = backing;
-            opt.budget_bytes = working / 4;
-            g.enable_out_of_core(comm, opt);
-            ASSERT_GE(working,
-                      4 * g.segcache()->num_frames() *
-                          g.segcache()->entries_per_segment() *
-                          static_cast<count_t>(sizeof(lid_t)));
-          }
-          const count_t bytes0 = comm.stats().bytes_sent;
-          core::Params params;
-          params.nparts = 8;
-          const core::PartitionResult pr =
-              core::partition(comm, g, params);
-          PageRankProgram prog;
-          engine::Config cfg;
-          cfg.max_supersteps = 12;
-          const engine::Stats pr_st = engine::run(comm, g, prog, cfg);
-          WccProgram wcc;
-          const engine::Stats wcc_st = engine::run(comm, g, wcc, cfg);
-          // World total, not rank 0's: the host rank's own fetch-lane
-          // pulls are self-target and therefore free.
-          const count_t total_bytes =
-              comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      DistGraph g = build_dist_graph(
+          comm, el, VertexDist::random(el.n, 4, 3));
+      const count_t working = working_set_bytes(g);
+      if (ooc) {
+        SegCacheOptions opt;
+        opt.backing = backing;
+        opt.budget_bytes = working / 4;
+        g.enable_out_of_core(comm, opt);
+        ASSERT_GE(working,
+                  4 * g.segcache()->num_frames() *
+                      g.segcache()->entries_per_segment() *
+                      static_cast<count_t>(sizeof(lid_t)));
+      }
+      const count_t bytes0 = comm.stats().bytes_sent;
+      core::Params params;
+      params.nparts = 8;
+      const core::PartitionResult pr =
+          core::partition(comm, g, params);
+      PageRankProgram prog;
+      engine::Config cfg;
+      cfg.max_supersteps = 12;
+      const engine::Stats pr_st = engine::run(comm, g, prog, cfg);
+      WccProgram wcc;
+      const engine::Stats wcc_st = engine::run(comm, g, wcc, cfg);
+      // World total, not rank 0's: the host rank's own fetch-lane
+      // pulls are self-target and therefore free.
+      const count_t total_bytes =
+          comm.allreduce_sum(comm.stats().bytes_sent - bytes0);
 
-          const auto parts = by_gid(comm, g, pr.parts);
-          const auto rank = by_gid(comm, g, prog.rank);
-          const auto comp = by_gid(comm, g, wcc.component);
-          auto pr_wire = wire_ledger(pr_st);
-          auto wcc_wire = wire_ledger(wcc_st);
-          comm.allreduce_max(pr_wire);
-          comm.allreduce_max(wcc_wire);
-          if (ooc) {
-            EXPECT_GT(pr_st.exchange.seg_misses, 0);
-            g.disable_out_of_core(comm);
-          }
-          if (comm.rank() != 0) return;
-          if (!ooc) {
-            ref.parts = parts;
-            ref.rank = rank;
-            ref.comp = comp;
-            ref.pr_wire = pr_wire;
-            ref.wcc_wire = wcc_wire;
-            ref.comm_bytes = total_bytes;
-            return;
-          }
-          const char* tag =
-              backing == SegBacking::kMmap ? "mmap" : "remote";
-          EXPECT_EQ(parts, ref.parts) << tag;
-          EXPECT_EQ(rank, ref.rank) << tag;
-          EXPECT_EQ(comp, ref.comp) << tag;
-          EXPECT_EQ(pr_wire, ref.pr_wire) << tag;
-          EXPECT_EQ(wcc_wire, ref.wcc_wire) << tag;
-          if (backing == SegBacking::kMmap) {
-            // Spill fetches never touch the substrate: the run's
-            // total wire bytes are exactly the in-core run's.
-            EXPECT_EQ(total_bytes, ref.comm_bytes);
-          } else {
-            EXPECT_GT(total_bytes, ref.comm_bytes);
-          }
-        },
-        /*ranks_per_node=*/2);
+      const auto parts = by_gid(comm, g, pr.parts);
+      const auto rank = by_gid(comm, g, prog.rank);
+      const auto comp = by_gid(comm, g, wcc.component);
+      auto pr_wire = wire_ledger(pr_st);
+      auto wcc_wire = wire_ledger(wcc_st);
+      comm.allreduce_max(pr_wire);
+      comm.allreduce_max(wcc_wire);
+      if (ooc) {
+        EXPECT_GT(pr_st.exchange.seg_misses, 0);
+        g.disable_out_of_core(comm);
+      }
+      if (comm.rank() != 0) return;
+      if (!ooc) {
+        ref.parts = parts;
+        ref.rank = rank;
+        ref.comp = comp;
+        ref.pr_wire = pr_wire;
+        ref.wcc_wire = wcc_wire;
+        ref.comm_bytes = total_bytes;
+        return;
+      }
+      const char* tag =
+          backing == SegBacking::kMmap ? "mmap" : "remote";
+      EXPECT_EQ(parts, ref.parts) << tag;
+      EXPECT_EQ(rank, ref.rank) << tag;
+      EXPECT_EQ(comp, ref.comp) << tag;
+      EXPECT_EQ(pr_wire, ref.pr_wire) << tag;
+      EXPECT_EQ(wcc_wire, ref.wcc_wire) << tag;
+      if (backing == SegBacking::kMmap) {
+        // Spill fetches never touch the substrate: the run's
+        // total wire bytes are exactly the in-core run's.
+        EXPECT_EQ(total_bytes, ref.comm_bytes);
+      } else {
+        EXPECT_GT(total_bytes, ref.comm_bytes);
+      }
+    });
   };
   run(SegBacking::kMmap, /*ooc=*/false);  // reference
   run(SegBacking::kMmap, /*ooc=*/true);
@@ -514,33 +495,30 @@ TEST(SegCacheStats, EnginePrefetchStrictlyReducesStall) {
   double stall[2] = {0.0, 0.0};
   count_t hits[2] = {0, 0};
   for (const bool prefetch : {false, true}) {
-    sim::run_world(
-        4,
-        [&](sim::Comm& comm) {
-          DistGraph g = build_dist_graph(
-              comm, el, VertexDist::random(el.n, 4, 3));
-          SegCacheOptions opt;
-          // Small segments so a quarter budget still holds several
-          // frames — prefetch needs spare frames to run ahead into.
-          opt.segment_bytes = 1 << 9;
-          opt.budget_bytes = working_set_bytes(g) / 4;
-          opt.prefetch = prefetch;
-          g.enable_out_of_core(comm, opt);
-          PageRankProgram p;
-          engine::Config cfg;
-          cfg.max_supersteps = 8;
-          const engine::Stats st = engine::run(comm, g, p, cfg);
-          double total_stall =
-              comm.allreduce_sum(st.exchange.seg_stall_seconds);
-          count_t total_hits =
-              comm.allreduce_sum(st.exchange.seg_prefetch_hits);
-          g.disable_out_of_core(comm);
-          if (comm.rank() == 0) {
-            stall[prefetch] = total_stall;
-            hits[prefetch] = total_hits;
-          }
-        },
-        /*ranks_per_node=*/2);
+    sim::run_world(4, [&](sim::Comm& comm) {
+      DistGraph g = build_dist_graph(
+          comm, el, VertexDist::random(el.n, 4, 3));
+      SegCacheOptions opt;
+      // Small segments so a quarter budget still holds several
+      // frames — prefetch needs spare frames to run ahead into.
+      opt.segment_bytes = 1 << 9;
+      opt.budget_bytes = working_set_bytes(g) / 4;
+      opt.prefetch = prefetch;
+      g.enable_out_of_core(comm, opt);
+      PageRankProgram p;
+      engine::Config cfg;
+      cfg.max_supersteps = 8;
+      const engine::Stats st = engine::run(comm, g, p, cfg);
+      double total_stall =
+          comm.allreduce_sum(st.exchange.seg_stall_seconds);
+      count_t total_hits =
+          comm.allreduce_sum(st.exchange.seg_prefetch_hits);
+      g.disable_out_of_core(comm);
+      if (comm.rank() == 0) {
+        stall[prefetch] = total_stall;
+        hits[prefetch] = total_hits;
+      }
+    });
   }
   EXPECT_EQ(hits[0], 0);
   EXPECT_GT(hits[1], 0);

@@ -254,45 +254,40 @@ TEST(VerifyThreadGuard, CommInsideWidenedPoolRegionThrows) {
 
 TEST(VerifyCleanRun, ExchangerMatrixRunsCleanUnderVerifier) {
   SKIP_WITHOUT_VERIFIER();
-  // Phased two-sided, one-sided pull, and hierarchical routing all use
+  // Phased and single-phase two-sided, and one-sided pull, all use
   // channels/windows heavily; a false positive here would break the
   // whole suite, so pin a clean multi-backend run explicitly.
   struct Case {
-    comm::ShardPolicy policy;
     comm::Backend backend;
     count_t bound;
   };
-  for (const Case& c :
-       {Case{comm::ShardPolicy::kFlat, comm::Backend::kTwoSided, 64},
-        Case{comm::ShardPolicy::kFlat, comm::Backend::kOneSided, 0},
-        Case{comm::ShardPolicy::kHierarchical, comm::Backend::kTwoSided, 0}}) {
-    run_world(
-        4,
-        [&](Comm& comm) {
-          comm::Exchanger ex(c.bound, c.policy, c.backend);
-          ex.set_label("clean-run-exchanger");
-          const int n = comm.size();
-          std::vector<count_t> counts(static_cast<std::size_t>(n));
-          std::vector<std::uint64_t> send;
-          for (int r = 0; r < n; ++r) {
-            counts[static_cast<std::size_t>(r)] = comm.rank() + r + 1;
-            for (count_t i = 0; i < counts[static_cast<std::size_t>(r)]; ++i)
-              send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1000 +
-                             static_cast<std::uint64_t>(r));
-          }
-          // Blocking, then overlapped start/finish, twice each.
-          for (int round = 0; round < 2; ++round) {
-            std::vector<count_t> rcounts;
-            const auto recv = ex.exchange(comm, send, counts, &rcounts);
-            count_t expect_total = 0;
-            for (int s = 0; s < n; ++s)
-              expect_total += s + comm.rank() + 1;
-            ASSERT_EQ(static_cast<count_t>(recv.size()), expect_total);
-            ex.start(comm, send, counts);
-            (void)ex.finish<std::uint64_t>(comm);
-          }
-        },
-        /*ranks_per_node=*/2);
+  for (const Case& c : {Case{comm::Backend::kTwoSided, 64},
+                        Case{comm::Backend::kTwoSided, 0},
+                        Case{comm::Backend::kOneSided, 0}}) {
+    run_world(4, [&](Comm& comm) {
+      comm::Exchanger ex(c.bound, c.backend);
+      ex.set_label("clean-run-exchanger");
+      const int n = comm.size();
+      std::vector<count_t> counts(static_cast<std::size_t>(n));
+      std::vector<std::uint64_t> send;
+      for (int r = 0; r < n; ++r) {
+        counts[static_cast<std::size_t>(r)] = comm.rank() + r + 1;
+        for (count_t i = 0; i < counts[static_cast<std::size_t>(r)]; ++i)
+          send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1000 +
+                         static_cast<std::uint64_t>(r));
+      }
+      // Blocking, then overlapped start/finish, twice each.
+      for (int round = 0; round < 2; ++round) {
+        std::vector<count_t> rcounts;
+        const auto recv = ex.exchange(comm, send, counts, &rcounts);
+        count_t expect_total = 0;
+        for (int s = 0; s < n; ++s)
+          expect_total += s + comm.rank() + 1;
+        ASSERT_EQ(static_cast<count_t>(recv.size()), expect_total);
+        ex.start(comm, send, counts);
+        (void)ex.finish<std::uint64_t>(comm);
+      }
+    });
   }
 }
 
