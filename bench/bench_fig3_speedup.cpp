@@ -2,11 +2,12 @@
 // computing 16 parts as rank count grows.
 //
 // Paper: 1..16 nodes of Cluster-1, speedups between ~2x and ~14x at 16
-// nodes depending on graph structure. Here: 1..8 simulated ranks (one
-// core underneath, so "speedup" reflects algorithmic communication/
-// work balance rather than hardware). Expected shape: meshes show the
-// best scaling (low cut after init => little exchange), social
-// networks the worst.
+// nodes depending on graph structure. Here: 1..8 simulated ranks, each
+// a thread sharing the host's cores, so wall time can only drop while
+// ranks fit on the cores; past that, "speedup" reflects algorithmic
+// communication/work balance rather than hardware. Expected shape:
+// meshes show the best scaling (low cut after init => little
+// exchange), social networks the worst.
 #include "bench/bench_common.hpp"
 #include "gen/suite.hpp"
 

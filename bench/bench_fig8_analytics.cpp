@@ -13,9 +13,8 @@
 // All eight workloads (the paper's six plus the engine-native SSSP
 // and triangle count) run through the unified vertex-program engine:
 // one engine::Config carries every transport knob (chunk size,
-// pipeline depth, coalescing cadence, intra-rank threads) into every
-// kernel — XTRA_PIPELINE_DEPTH / XTRA_COALESCE_EVERY / XTRA_THREADS
-// select them without recompiling.
+// coalescing cadence, intra-rank threads) into every kernel —
+// XTRA_COALESCE_EVERY / XTRA_THREADS select them without recompiling.
 #include <cstdlib>
 #include <memory>
 
@@ -50,8 +49,8 @@ int main() {
   const int nranks = 8;
   // The knobs shared with the partitioner ride core::Params ->
   // engine::Config (the same Params seeds the XtraPuLP strategy below);
-  // the analytics-only pipeline depth and coalescing cadence are set on
-  // the Config directly. Every kernel inherits all of them uniformly.
+  // the analytics-only coalescing cadence is set on the Config
+  // directly. Every kernel inherits all of them uniformly.
   // Defaults keep the runs bit-comparable with earlier figures.
   core::Params apar;
   // The "+X" of MPI+X: intra-rank worker threads. Results and wire
@@ -59,8 +58,6 @@ int main() {
   if (const char* t = std::getenv("XTRA_THREADS"))
     apar.num_threads = std::atoi(t);
   engine::Config cfg = engine::Config::from_params(apar);
-  if (const char* pd = std::getenv("XTRA_PIPELINE_DEPTH"))
-    cfg.pipeline_depth = std::atoi(pd);
   if (const char* ce = std::getenv("XTRA_COALESCE_EVERY"))
     cfg.coalesce_every = std::atoi(ce);
   const graph::EdgeList directed = gen::webcrawl(n, 20, 7);

@@ -27,7 +27,6 @@
 #include "graph/dist_graph.hpp"
 #include "graph/halo.hpp"
 #include "mpisim/comm.hpp"
-#include "util/timer.hpp"
 
 using namespace xtra;
 
@@ -48,17 +47,10 @@ struct CommRow {
   double start_seconds = 0.0;       ///< time inside start() halves
   double finish_seconds = 0.0;      ///< time inside finish() halves
   count_t max_inflight_bytes = 0;   ///< peak payload held in flight
-  // Incremental-drain / cross-superstep pipeline ledger (rank 0's
-  // engine): exchanges consumed phase by phase, refreshes carried
-  // across a superstep boundary, and the deepest carry seen.
-  count_t drained_incrementally = 0;
-  count_t pipeline_carried = 0;
-  count_t max_pipeline_depth = 0;
   // Alpha-beta modeled wire time NOT hidden behind compute
-  // (world-summed; see mpisim CommStats::exposed_seconds). The depth
-  // contract gates on this: a deeper pipeline must expose strictly
-  // less of the same traffic. Excluded from the baseline tolerance
-  // compare — it carries wall-clock overlap credit.
+  // (world-summed; see mpisim CommStats::exposed_seconds).
+  // Informational: excluded from the baseline tolerance compare — it
+  // carries wall-clock overlap credit.
   double exposed_wire_seconds_per_iter = 0.0;
   // One-sided (pull-mode) wire volume, world-summed. Zero on two-sided
   // rows; on *_onesided rows the bytes ride gets instead of alltoallv
@@ -94,9 +86,6 @@ void note_overlap(CommRow& row, const xtra::comm::ExchangeStats& s) {
   row.start_seconds = s.start_seconds;
   row.finish_seconds = s.finish_seconds;
   row.max_inflight_bytes = s.max_inflight_bytes;
-  row.drained_incrementally = s.drained_incrementally;
-  row.pipeline_carried = s.pipeline_carried;
-  row.max_pipeline_depth = s.max_pipeline_depth;
 }
 
 std::map<std::string, CommRow>& comm_rows() {
@@ -370,87 +359,13 @@ void BM_CoalescedRounds(benchmark::State& state) {
 }
 BENCHMARK(BM_CoalescedRounds)->Args({16, 0})->Args({16, 1});
 
-/// The cross-superstep SuperstepPipeline against the same workload as
-/// BM_HaloPrefetchOverlap: depth 0 (drain-in-step) must match the
-/// blocking rows on bytes and collectives exactly; depths 1 and 2
-/// carry each refresh across one / two superstep boundaries, so the
-/// engine's pipeline_carried / drained_incrementally ledger lights up
-/// while the wire totals stay flat (the pipeline changes *when*
-/// arrivals land, not what travels). What does move is exposure: each
-/// extra superstep a refresh stays in flight earns overlap credit
-/// against the modeled transfer, and the check script requires the d2
-/// rows to expose strictly less wire time per iteration than d1.
-void BM_HaloPipelineDepth(benchmark::State& state) {
+/// PageRank and k-core end to end on the full-refresh driver at
+/// default knobs: bytes and collectives per superstep.
+void BM_AnalyticsFullRefresh(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
-  const auto bound = static_cast<count_t>(state.range(1));
-  const int depth = static_cast<int>(state.range(2));
-  constexpr int kIters = 10;
-  const graph::EdgeList el = gen::erdos_renyi(20'000, 16, 3);
-  CommRow row{"halo_pipeline_d" + std::to_string(depth), nranks, bound};
-  // Deterministic stand-in for per-superstep compute, long enough that
-  // every carried refresh earns a measurable overlap credit — the
-  // depth contract then rides a multi-millisecond margin instead of
-  // scheduler noise.
-  const auto compute_spin = [] {
-    const Timer t;
-    while (t.seconds() < 2e-3) {
-    }
-  };
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::HaloPlan halo(comm, g);
-      halo.set_max_send_bytes(bound);
-      halo.reset_stats();
-      graph::SuperstepPipeline<double> pipe(halo, depth);
-      std::vector<double> vals(g.n_total(), 1.0);
-      comm.barrier();
-      comm.reset_stats();
-      for (int i = 0; i < kIters; ++i)
-        pipe.superstep(comm, vals, [&](lid_t v) { vals[v] += 1.0; },
-                       compute_spin);
-      pipe.flush(comm, vals);
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0) {
-        note_world(row, world, kIters);
-        note_overlap(row, halo.stats());
-      }
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["colls/iter"] = row.collectives_per_iter;
-  state.counters["carried"] = static_cast<double>(row.pipeline_carried);
-  record_row(row);
-}
-BENCHMARK(BM_HaloPipelineDepth)
-    ->Args({4, 0, 0})
-    ->Args({4, 0, 1})
-    ->Args({4, 1 << 14, 0})
-    ->Args({4, 1 << 14, 1})
-    ->Args({8, 0, 1})
-    // Depth 2: two refreshes in flight (the multi-channel substrate).
-    // Each d2 row must expose strictly less wire time than its d1 twin.
-    ->Args({4, 0, 2})
-    ->Args({4, 1 << 14, 2})
-    ->Args({8, 0, 2});
-
-/// Pipelined vs blocking analytics end to end: PageRank and k-core on
-/// the SuperstepPipeline at depth 0, 1, and 2. Collectives and bytes
-/// per superstep must stay flat across depths — regressions here mean
-/// the pipeline started paying for its overlap — and the depth-2
-/// PageRank row must expose strictly less wire time per superstep than
-/// the depth-1 row (two supersteps of kernel compute hide more of each
-/// modeled transfer than one).
-void BM_AnalyticsPipelined(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int depth = static_cast<int>(state.range(1));
-  const bool kcore = state.range(2) != 0;
+  const bool kcore = state.range(1) != 0;
   const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 5);
-  std::string name = kcore ? "kcore" : "pagerank";
-  name += depth == 0 ? "_blocking" : "_pipelined";
-  if (depth > 1) name += "_d" + std::to_string(depth);
-  CommRow row{name, nranks, 0};
+  CommRow row{kcore ? "kcore_blocking" : "pagerank_blocking", nranks, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
@@ -458,7 +373,6 @@ void BM_AnalyticsPipelined(benchmark::State& state) {
       comm.barrier();
       comm.reset_stats();
       engine::Config cfg;
-      cfg.pipeline_depth = depth;
       engine::Stats st;
       if (kcore) {
         analytics::KCoreProgram p;
@@ -478,13 +392,7 @@ void BM_AnalyticsPipelined(benchmark::State& state) {
   state.counters["colls/iter"] = row.collectives_per_iter;
   record_row(row);
 }
-BENCHMARK(BM_AnalyticsPipelined)
-    ->Args({8, 0, 0})
-    ->Args({8, 1, 0})
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1})
-    ->Args({8, 2, 0})
-    ->Args({8, 2, 1});
+BENCHMARK(BM_AnalyticsFullRefresh)->Args({8, 0})->Args({8, 1});
 
 /// Community-LP with the per-sweep full ghost refresh vs the
 /// CoalescingExchanger path (changed labels batched, flushed every 4
@@ -518,38 +426,6 @@ void BM_CommLpCoalesced(benchmark::State& state) {
   record_row(row);
 }
 BENCHMARK(BM_CommLpCoalesced)->Args({8, 0})->Args({8, 4});
-
-/// Community-LP on the cross-superstep pipeline at depth 1 vs 2
-/// (stale-ghost-tolerant kernel, fixed superstep budget). Same wire
-/// volume either way; the check script requires the d2 row to expose
-/// strictly less modeled wire time per superstep than d1 — the
-/// payoff of holding two label refreshes in flight.
-void BM_CommLpPipelined(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const int depth = static_cast<int>(state.range(1));
-  const graph::EdgeList el = gen::erdos_renyi(8'000, 12, 7);
-  CommRow row{"commlp_pipelined_d" + std::to_string(depth), nranks, 0};
-  for (auto _ : state) {
-    sim::run_world(nranks, [&](sim::Comm& comm) {
-      const auto g = graph::build_dist_graph(
-          comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      comm.barrier();
-      comm.reset_stats();
-      analytics::CommLpProgram p;
-      engine::Config cfg;
-      cfg.max_supersteps = 10;
-      cfg.pipeline_depth = depth;
-      const engine::Stats st = engine::run(comm, g, p, cfg);
-      const sim::CommStats world = comm.world_stats();
-      if (comm.rank() == 0)
-        note_world(row, world, static_cast<double>(st.supersteps));
-    });
-  }
-  state.counters["bytes/iter"] = row.bytes_per_iter;
-  state.counters["exposed/iter"] = row.exposed_wire_seconds_per_iter;
-  record_row(row);
-}
-BENCHMARK(BM_CommLpPipelined)->Args({8, 1})->Args({8, 2});
 
 /// PageRank and community-LP at default transport knobs on the
 /// two-sided and the one-sided backend: the _onesided rows are pinned
@@ -820,8 +696,6 @@ int main(int argc, char** argv) {
         "\"coalesced_flushes\": %lld, \"overlapped_frac\": %.2f, "
         "\"start_seconds\": %.4f, \"finish_seconds\": %.4f, "
         "\"max_inflight_bytes\": %lld, "
-        "\"drained_incrementally\": %lld, \"pipeline_carried\": %lld, "
-        "\"max_pipeline_depth\": %lld, "
         "\"exposed_wire_seconds_per_iter\": %.4f, "
         "\"one_sided_bytes_per_iter\": %.1f, "
         "\"seg_hits\": %lld, \"seg_misses\": %lld, "
@@ -833,9 +707,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(r.coalesced_flushes), r.overlapped_frac,
         r.start_seconds, r.finish_seconds,
         static_cast<long long>(r.max_inflight_bytes),
-        static_cast<long long>(r.drained_incrementally),
-        static_cast<long long>(r.pipeline_carried),
-        static_cast<long long>(r.max_pipeline_depth),
         r.exposed_wire_seconds_per_iter, r.one_sided_bytes_per_iter,
         static_cast<long long>(r.seg_hits),
         static_cast<long long>(r.seg_misses),

@@ -6,9 +6,9 @@
 // Each program is a small struct of hooks executed by
 // engine::run(comm, g, program, cfg) (see engine/engine.hpp for the
 // contract): the engine owns the superstep loop, the halo plan, the
-// pipeline/coalescing transports, and the convergence collectives;
-// the program owns only its per-vertex update and its result state,
-// which callers read after the run. PageRank and the triangle counter
+// full-refresh and coalesced transports, and the convergence
+// collectives; the program owns only its per-vertex update and its
+// result state, which callers read after the run. PageRank and the triangle counter
 // are fixed-iteration programs: engine::run rejects them without
 // cfg.max_supersteps (the triangle counter needs exactly one).
 #pragma once
@@ -73,7 +73,7 @@ struct PageRankProgram {
   }
   void pre_superstep(Ctx& ctx) {
     // Dangling mass in fixed lid order, so the sum is bit-identical no
-    // matter how the pipeline orders the contribution writes.
+    // matter how the sweep orders the contribution writes.
     dangling = 0.0;
     for (lid_t v = 0; v < ctx.g.n_local(); ++v)
       if (ctx.g.degree(v) == 0) dangling += rank[v];
@@ -199,7 +199,7 @@ struct WccProgram {
 // Label-propagation community detection — dense, change-converging,
 // synchronous (reads ctx.prev, writes ctx.values): majority label
 // with ties toward the smaller label. The vote tolerates stale ghosts,
-// so the program runs at any pipeline depth or coalescing cadence.
+// so the program runs at any coalescing cadence.
 
 struct CommLpProgram {
   using Value = gid_t;
@@ -272,7 +272,7 @@ struct CommLpProgram {
 // iterated neighborhood h-index (Lü et al. 2016), which contracts to
 // the exact coreness. Values are monotone non-increasing upper
 // bounds, so stale ghosts are just older bounds — safe at any
-// pipeline depth or coalescing cadence.
+// coalescing cadence.
 
 namespace detail {
 

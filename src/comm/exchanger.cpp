@@ -41,7 +41,6 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   for (const count_t c : counts) total += c;
   ++stats_.exchanges;
   stats_.records_sent += total;
-  pending_.counted_incremental_ = false;
   if (mode != StartMode::kBlocking) {
     ++stats_.overlapped;
     stats_.max_inflight_bytes =
@@ -124,7 +123,7 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
   pending_.phase_ = 0;
   pending_.active_ = true;
   // Every started exchange rides its own substrate channel, so several
-  // Exchangers (pipeline lanes, aux exchanges) may be in flight at
+  // Exchangers (a halo prefetch, aux exchanges) may be in flight at
   // once. The scan is rank-uniform — collective ordering keeps the
   // in-flight channel sets identical on every rank.
   pending_.channel_ = comm.find_free_channel();
@@ -158,38 +157,15 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
 }
 
 void Exchanger::finish_bytes(sim::Comm& comm) {
-  // One-shot finish = drain every remaining step. drain_step_bytes
-  // performs exactly the per-phase work the monolithic loop used to,
-  // so the two paths stay bit-identical by construction.
-  while (drain_step_bytes(comm)) {
-  }
-}
-
-void Exchanger::note_full_result_segments() {
-  drained_segs_.clear();
-  count_t off = 0;
-  for (std::size_t s = 0; s < rcounts_.size(); ++s) {
-    const count_t c = rcounts_[s];
-    if (c > 0) drained_segs_.push_back({static_cast<int>(s), off, c});
-    off += c;
-  }
-}
-
-bool Exchanger::drain_step_bytes(sim::Comm& comm) {
   XTRA_ASSERT_MSG(pending_.active_,
-                  "Exchanger::finish/drain without a started exchange");
+                  "Exchanger::finish without a started exchange");
   if (onesided_inflight_) {
-    // One-sided: pull every segment and close the epoch in a single
-    // drain step.
     finish_onesided(comm);
-    note_full_result_segments();
-    return false;
+    return;
   }
   Timer t;
   const int nranks = comm.size();
   const std::size_t elem = pending_.elem_;
-  drained_segs_.clear();
-  bool more = false;
 
   if (pending_.nphases_ == 0) {
     // All-empty exchange: nothing was posted; the (empty) result was
@@ -198,68 +174,62 @@ bool Exchanger::drain_step_bytes(sim::Comm& comm) {
     recv_total_ =
         comm.alltoallv_bytes_finish(recv_bytes_, &rcounts_, pending_.channel_);
     ++stats_.phases;
-    note_full_result_segments();
   } else {
-    // Drain phase p, immediately post phase p+1 so it is in flight
-    // while p's arrivals are scattered into their final positions.
     const count_t total = pending_.total_;
-    (void)comm.alltoallv_bytes_finish(phase_bytes_, &phase_rcounts_,
-                                      pending_.channel_);
-    ++stats_.phases;
-    ++pending_.phase_;
-    if (pending_.phase_ < pending_.nphases_) {
-      const count_t lo =
-          std::min(pending_.phase_ * pending_.max_records_, total);
-      const count_t hi = std::min(lo + pending_.max_records_, total);
-      window_counts(pending_.offsets_, lo, hi, phase_counts_);
-      // Successor phases reuse the exchange's channel — it freed the
-      // instant the previous phase finished, within this same call.
-      (void)comm.alltoallv_bytes_start(
-          pending_.wire_ + static_cast<std::size_t>(lo) * elem, elem,
-          phase_counts_, pending_.channel_, label_);
-      more = true;
-    }
-    // Arrivals from source s across phases, concatenated in phase
-    // order, are exactly s's single-alltoallv segment (each phase
-    // window preserves the within-destination record order).
-    std::size_t pos = 0;
-    for (int s = 0; s < nranks; ++s) {
-      const count_t c = phase_rcounts_[static_cast<std::size_t>(s)];
-      if (c == 0) continue;
-      const std::size_t len = static_cast<std::size_t>(c) * elem;
-      std::memcpy(recv_bytes_.data() +
-                      static_cast<std::size_t>(
-                          cursor_[static_cast<std::size_t>(s)]) *
-                          elem,
-                  phase_bytes_.data() + pos, len);
-      drained_segs_.push_back(
-          {s, cursor_[static_cast<std::size_t>(s)], c});
-      cursor_[static_cast<std::size_t>(s)] += c;
-      pos += len;
+    while (pending_.phase_ < pending_.nphases_) {
+      // Drain phase p, immediately post phase p+1 so it is in flight
+      // while p's arrivals are scattered into their final positions.
+      (void)comm.alltoallv_bytes_finish(phase_bytes_, &phase_rcounts_,
+                                        pending_.channel_);
+      ++stats_.phases;
+      ++pending_.phase_;
+      if (pending_.phase_ < pending_.nphases_) {
+        const count_t lo =
+            std::min(pending_.phase_ * pending_.max_records_, total);
+        const count_t hi = std::min(lo + pending_.max_records_, total);
+        window_counts(pending_.offsets_, lo, hi, phase_counts_);
+        // Successor phases reuse the exchange's channel — it freed the
+        // instant the previous phase finished.
+        (void)comm.alltoallv_bytes_start(
+            pending_.wire_ + static_cast<std::size_t>(lo) * elem, elem,
+            phase_counts_, pending_.channel_, label_);
+      }
+      // Arrivals from source s across phases, concatenated in phase
+      // order, are exactly s's single-alltoallv segment (each phase
+      // window preserves the within-destination record order).
+      std::size_t pos = 0;
+      for (int s = 0; s < nranks; ++s) {
+        const count_t c = phase_rcounts_[static_cast<std::size_t>(s)];
+        if (c == 0) continue;
+        const std::size_t len = static_cast<std::size_t>(c) * elem;
+        std::memcpy(recv_bytes_.data() +
+                        static_cast<std::size_t>(
+                            cursor_[static_cast<std::size_t>(s)]) *
+                            elem,
+                    phase_bytes_.data() + pos, len);
+        cursor_[static_cast<std::size_t>(s)] += c;
+        pos += len;
+      }
     }
 #ifndef NDEBUG
-    if (!more)
-      // Every cursor must have advanced to the next source's start.
-      for (int s = 0; s + 1 < nranks; ++s)
-        XTRA_DEBUG_ASSERT(cursor_[static_cast<std::size_t>(s)] ==
-                          cursor_[static_cast<std::size_t>(s + 1)] -
-                              rcounts_[static_cast<std::size_t>(s + 1)]);
+    // Every cursor must have advanced to the next source's start.
+    for (int s = 0; s + 1 < nranks; ++s)
+      XTRA_DEBUG_ASSERT(cursor_[static_cast<std::size_t>(s)] ==
+                        cursor_[static_cast<std::size_t>(s + 1)] -
+                            rcounts_[static_cast<std::size_t>(s + 1)]);
 #endif
   }
-  if (!more) {
-    pending_.active_ = false;
-    pending_.wire_ = nullptr;
-  }
+  pending_.active_ = false;
+  pending_.wire_ = nullptr;
   const double sec = t.seconds();
   stats_.seconds += sec;
   stats_.finish_seconds += sec;
-  return more;
 }
 
 // ---------------------------------------------------------------------------
 // One-sided transport: the start half exposes the staged
 // destination-grouped payload in a substrate window, registering the
-// per-destination counts as free metadata; the drain half pulls each
+// per-destination counts as free metadata; the finish half pulls each
 // per-source segment passively with win_get and closes the epoch.
 // Bit-identity with the two-sided path is by construction — the same
 // records are fetched from the same layout the push would have sent —
@@ -267,7 +237,7 @@ bool Exchanger::drain_step_bytes(sim::Comm& comm) {
 // substrate side, the one_sided_* ledger here.
 
 void Exchanger::start_onesided(sim::Comm& comm, std::size_t elem) {
-  pending_.nphases_ = 1;  // the pull completes in one drain step
+  pending_.nphases_ = 1;  // the pull completes in one finish
   pending_.phase_ = 0;
   pending_.max_records_ = std::max<count_t>(pending_.total_, 1);
   pending_.win_ = comm.find_free_window();

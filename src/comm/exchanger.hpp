@@ -31,18 +31,9 @@
 // substrate's nonblocking alltoallv; kOneSided exposes the
 // destination-grouped payload in a one-sided window (counts travel as
 // registration metadata) and consumers win_get their segments
-// passively — the pull happens in the drain half, so start/compute/
-// drain overlap works unchanged, and the whole pull completes in one
-// drain step. One-sided mode is receiver-paced, so max_send_bytes
-// does not split it into wire phases.
-//
-// The finish half can also be driven incrementally: drain_one()
-// completes one phase at a time and hands each phase's arrivals to a
-// consumer callback as they land (try_finish() is the poll-style
-// twin), so compute can consume arrivals mid-exchange instead of after
-// the last phase — the hook the cross-superstep SuperstepPipeline in
-// graph/halo.hpp builds on. finish() is a loop over the same drain
-// step, so one-shot and incremental draining are bit-identical.
+// passively — the pull happens in the finish half, so start/compute/
+// finish overlap works unchanged. One-sided mode is receiver-paced, so
+// max_send_bytes does not split it into wire phases.
 //
 // The object owns all wire-side scratch (receive bytes, per-phase
 // counts, reassembly cursors) and reuses it across calls, so a
@@ -59,7 +50,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -91,15 +81,6 @@ struct ExchangeStats {
   double start_seconds = 0.0;       ///< wall time inside start()
   double finish_seconds = 0.0;      ///< wall time inside finish()
 
-  // Incremental-drain / cross-superstep pipeline ledger. One-shot
-  // finish() never touches these; drain_one()/try_finish() mark the
-  // exchange incrementally drained, and a SuperstepPipeline that
-  // carries a refresh across a superstep boundary records the carry
-  // (and the deepest carry seen) via note_pipeline_carry().
-  count_t drained_incrementally = 0;  ///< exchanges consumed phase by phase
-  count_t pipeline_carried = 0;       ///< refreshes carried across supersteps
-  count_t max_pipeline_depth = 0;     ///< deepest superstep carry observed
-
   // One-sided (Backend::kOneSided) per-op ledger: pulls this Exchanger
   // issued against peers' exposed windows, and the remote payload they
   // fetched (self-target pulls are free, matching the substrate).
@@ -121,8 +102,7 @@ struct ExchangeStats {
   double seg_stall_seconds = 0.0;  ///< modeled demand-fetch latency
 
   /// Fold another ledger into this one: counters and times add, peak
-  /// fields take the max. Used by HaloPlan's lane aggregation and the
-  /// engine's per-run rollup.
+  /// fields take the max. Used by the engine's per-run rollup.
   void merge_from(const ExchangeStats& from) {
     exchanges += from.exchanges;
     phases += from.phases;
@@ -134,9 +114,6 @@ struct ExchangeStats {
     max_inflight_bytes = std::max(max_inflight_bytes, from.max_inflight_bytes);
     start_seconds += from.start_seconds;
     finish_seconds += from.finish_seconds;
-    drained_incrementally += from.drained_incrementally;
-    pipeline_carried += from.pipeline_carried;
-    max_pipeline_depth = std::max(max_pipeline_depth, from.max_pipeline_depth);
     one_sided_gets += from.one_sided_gets;
     one_sided_bytes += from.one_sided_bytes;
     seg_hits += from.seg_hits;
@@ -176,7 +153,6 @@ class AsyncExchange {
   int channel_ = 0;                  ///< substrate channel (two-sided)
   int win_ = 0;                      ///< substrate window (one-sided)
   bool active_ = false;
-  bool counted_incremental_ = false;  ///< drained_incrementally billed
 };
 
 class Exchanger {
@@ -248,7 +224,9 @@ class Exchanger {
   /// payload is snapshotted into the AsyncExchange handle, so `send`
   /// may be reused or destroyed as soon as this returns. Run local
   /// compute, then drain with finish<T>(). Only one exchange may be in
-  /// flight per Exchanger (and per rank, substrate-wide).
+  /// flight per Exchanger; each rank may hold up to sim::kMaxChannels
+  /// started exchanges (or sim::kMaxWindows one-sided ones) across all
+  /// its Exchangers at once.
   template <typename T>
   void start(sim::Comm& comm, const T* send,
              const std::vector<count_t>& counts) {
@@ -302,68 +280,6 @@ class Exchanger {
             static_cast<std::size_t>(recv_total_)};
   }
 
-  /// Collective: complete exactly one phase of the in-flight exchange
-  /// and hand that phase's arrivals to `consume` as they land, posting
-  /// the successor phase so it is on the wire while the caller keeps
-  /// computing. `consume` is invoked once per source rank with data in
-  /// the drained phase, as
-  ///   consume(int source, count_t dst_offset, std::span<const T> recs)
-  /// where dst_offset is the element offset of the segment in the
-  /// final grouped-by-source result (the records are already installed
-  /// there, so the span stays valid until the next exchange()/start()
-  /// on this object). Returns true while phases remain in flight; the
-  /// call that returns false leaves the full result exactly as
-  /// finish<T>() would have. Draining the unbounded single-phase plan
-  /// (and the one-sided pull) completes in one step.
-  template <typename T, typename Consume>
-  bool drain_one(sim::Comm& comm, Consume&& consume) {
-    XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
-                    "drain_one<T> must match the started element type");
-    note_incremental();
-    const bool more = drain_step_bytes(comm);
-    const T* base = reinterpret_cast<const T*>(recv_bytes_.data());
-    for (const PhaseSegment& s : drained_segs_)
-      consume(s.source, s.dst_offset,
-              std::span<const T>(base + s.dst_offset,
-                                 static_cast<std::size_t>(s.count)));
-    return more;
-  }
-
-  /// Collective: drain at most one phase; returns the full
-  /// grouped-by-source result once the exchange has fully drained
-  /// (exactly what finish<T>() returns), or nullopt while phases
-  /// remain in flight. Poll-style twin of drain_one for callers that
-  /// only need the completed result.
-  template <typename T>
-  std::optional<std::span<const T>> try_finish(
-      sim::Comm& comm, std::vector<count_t>* recvcounts_out = nullptr) {
-    XTRA_ASSERT_MSG(pending_.elem_ == sizeof(T),
-                    "try_finish<T> must match the started element type");
-    note_incremental();
-    if (drain_step_bytes(comm)) return std::nullopt;
-    if (recvcounts_out) *recvcounts_out = rcounts_;
-    return std::span<const T>(
-        reinterpret_cast<const T*>(recv_bytes_.data()),
-        static_cast<std::size_t>(recv_total_));
-  }
-
-  /// Drain steps left in the in-flight exchange (0 when idle). The
-  /// phase count is collectively agreed at start, so the value is
-  /// rank-uniform — callers can size compute chunks to interleave with
-  /// exactly this many drain_one calls.
-  count_t phases_remaining() const {
-    if (!pending_.active_) return 0;
-    return std::max<count_t>(1, pending_.nphases_ - pending_.phase_);
-  }
-
-  /// Pipeline ledger hook (SuperstepPipeline): a started refresh was
-  /// carried in flight across `depth` superstep boundaries before
-  /// draining.
-  void note_pipeline_carry(count_t depth) {
-    ++stats_.pipeline_carried;
-    stats_.max_pipeline_depth = std::max(stats_.max_pipeline_depth, depth);
-  }
-
   bool in_flight() const { return pending_.active(); }
   const AsyncExchange& pending() const { return pending_; }
 
@@ -380,44 +296,18 @@ class Exchanger {
   /// overlapped exchanges.
   enum class StartMode { kBlocking, kSnapshot, kAlias };
 
-  /// One arrived segment of the most recently drained phase: `count`
-  /// elements from `source`, installed at element offset `dst_offset`
-  /// of the final grouped-by-source result.
-  struct PhaseSegment {
-    int source;
-    count_t dst_offset;
-    count_t count;
-  };
-
   /// Untyped first half: stages the payload, agrees on the phase
   /// count, and posts phase 0.
   void start_bytes(sim::Comm& comm, const std::byte* send, std::size_t elem,
                    const std::vector<count_t>& counts, StartMode mode);
-  /// Untyped second half: drains phases (posting each successor),
-  /// leaving the result in recv_bytes_/recv_total_/rcounts_. A loop
-  /// over drain_step_bytes, so the one-shot and incremental paths are
-  /// one implementation.
+  /// Untyped second half: drains every phase (posting each successor
+  /// before scattering its predecessor's arrivals), leaving the result
+  /// in recv_bytes_/recv_total_/rcounts_.
   void finish_bytes(sim::Comm& comm);
-  /// Untyped single drain step: completes one phase (or the whole
-  /// one-sided pull), installs its arrivals in recv_bytes_,
-  /// records the arrived segments in drained_segs_, and posts the next
-  /// phase. Returns whether the exchange is still in flight.
-  bool drain_step_bytes(sim::Comm& comm);
-  /// Record the whole grouped-by-source result as drained segments
-  /// (single-phase, one-sided, and all-empty completions).
-  void note_full_result_segments();
-  /// Bill the in-flight exchange as incrementally drained (once).
-  void note_incremental() {
-    if (pending_.active_ && !pending_.counted_incremental_) {
-      pending_.counted_incremental_ = true;
-      ++stats_.drained_incrementally;
-    }
-  }
 
   // One-sided halves (backend == kOneSided): start exposes the staged
-  // payload + counts metadata in a window; the drain pulls every
-  // per-source segment with win_get and closes the epoch in a single
-  // drain step.
+  // payload + counts metadata in a window; the finish pulls every
+  // per-source segment with win_get and closes the epoch.
   void start_onesided(sim::Comm& comm, std::size_t elem);
   void finish_onesided(sim::Comm& comm);
 
@@ -436,7 +326,6 @@ class Exchanger {
   std::vector<count_t> phase_rcounts_;  ///< per-source counts, one phase
   std::vector<std::byte> phase_bytes_;  ///< one phase's arrivals
   std::vector<count_t> cursor_;         ///< reassembly write positions
-  std::vector<PhaseSegment> drained_segs_;  ///< last drained phase's arrivals
 };
 
 }  // namespace xtra::comm

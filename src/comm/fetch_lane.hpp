@@ -1,14 +1,14 @@
 // comm::FetchLane — the dedicated one-sided lane the out-of-core
 // segment cache pulls edge segments through (graph/segcache.hpp).
 //
-// The top window slot is reserved for the lane so the Exchanger's
-// lowest-free window scan never collides with it: an engine run may
-// keep pipeline refreshes in flight on windows [0, kMaxWindows-2]
-// while segment fetches ride the reserved slot. The practical
-// consequence is that a one-sided pipeline under an out-of-core
-// remote backing has one fewer window to play with (effective depth
-// <= kMaxWindows - 2); exceeding it fails loudly with the substrate's
-// exhaustion diagnostics naming this lane's label.
+// The lane holds one window slot for its whole lifetime, taken at
+// open() from the substrate's lowest-free scan (find_free_window) like
+// every other exposure. open() is collective and every rank's window
+// set is identical at that point, so the slot is rank-uniform. Several
+// remote-backed graphs may therefore coexist in one world, each on its
+// own slot; Exchanger exposures take whichever slots remain, and
+// exhaustion fails loudly with the substrate's diagnostics naming
+// every holder's label.
 //
 // open() is collective: every rank contributes its segment blob, the
 // designated memory rank hosts the rank-ordered concatenation in its
@@ -32,12 +32,6 @@
 
 namespace xtra::comm {
 
-/// Window slot reserved for segment fetches. Exchanger and HaloPlan
-/// allocate via find_free_window (lowest free first), so they only
-/// reach this slot when every other window is already busy — and then
-/// the exhaustion diagnostics name the lane that owns it.
-inline constexpr int kSegmentFetchWindow = sim::kMaxWindows - 1;
-
 class FetchLane {
  public:
   FetchLane() = default;
@@ -45,7 +39,7 @@ class FetchLane {
   FetchLane& operator=(const FetchLane&) = delete;
 
   /// Collective. Ship `blob_bytes` of `blob` to `host_rank`, which
-  /// exposes the rank-ordered concatenation on the reserved window;
+  /// exposes the rank-ordered concatenation on the lowest free window;
   /// every other rank exposes an empty region on the same slot.
   void open(sim::Comm& comm, const void* blob, std::size_t blob_bytes,
             int host_rank) {
@@ -65,9 +59,9 @@ class FetchLane {
       hosted_.clear();
       hosted_.shrink_to_fit();
     }
+    win_ = comm.find_free_window();
     comm.win_expose(hosted_.empty() ? nullptr : hosted_.data(),
-                    hosted_.size(), nullptr, kSegmentFetchWindow,
-                    "segcache fetch lane");
+                    hosted_.size(), nullptr, win_, "segcache fetch lane");
     open_ = true;
   }
 
@@ -76,14 +70,13 @@ class FetchLane {
   void get(sim::Comm& comm, std::size_t offset, std::size_t len,
            void* dst) const {
     XTRA_ASSERT(open_);
-    comm.win_get(kSegmentFetchWindow, host_rank_, my_base_ + offset, len,
-                 dst);
+    comm.win_get(win_, host_rank_, my_base_ + offset, len, dst);
   }
 
   /// Collective. Ends the exposure epoch and frees the hosted copy.
   void close(sim::Comm& comm) {
     if (!open_) return;
-    comm.win_unexpose(kSegmentFetchWindow);
+    comm.win_unexpose(win_);
     hosted_.clear();
     hosted_.shrink_to_fit();
     open_ = false;
@@ -99,6 +92,7 @@ class FetchLane {
  private:
   bool open_ = false;
   int host_rank_ = 0;
+  int win_ = 0;                      ///< window slot taken at open()
   std::size_t my_base_ = 0;          ///< this rank's offset in the host blob
   std::vector<std::uint8_t> hosted_; ///< memory rank only
 };

@@ -1,8 +1,7 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
 // The comm substrate offers several transport strategies
-// (memory-bounded phasing, one-sided pulls, cross-superstep
-// pipelining, coalescing). Config gathers their knobs so every kernel
+// (memory-bounded phasing, one-sided pulls, coalescing). Config gathers their knobs so every kernel
 // executed by engine::run inherits every transport strategy;
 // from_params() copies the knobs the partitioner shares with the
 // engine out of core::Params so benches drive analytics and
@@ -32,21 +31,13 @@ struct Config {
   /// bit-identical for any value. Same value on every rank.
   count_t max_exchange_bytes = 0;
 
-  /// Supersteps a dense program's ghost refresh may stay in flight
-  /// (graph::SuperstepPipeline). 0 drains in-step — bit-identical to
-  /// the blocking exchange; d >= 1 keeps up to d refreshes in flight
-  /// across superstep boundaries (clamped to graph::kMaxPipelineDepth),
-  /// so updates may read ghosts up to d supersteps stale. Only
-  /// meaningful for dense programs.
-  int pipeline_depth = 0;
-
   /// > 0 switches a change-converging dense program's ghost refresh
   /// from a full per-superstep halo exchange to sparse changed-value
   /// updates batched in a comm::CoalescingExchanger and flushed every
   /// `coalesce_every` supersteps (and at convergence). Peers read
   /// values up to coalesce_every-1 supersteps stale between flushes;
   /// coalesce_every == 1 delivers every superstep and is bit-identical
-  /// to the full refresh. Takes precedence over pipeline_depth.
+  /// to the full refresh.
   /// engine::run throws if a fixed-iteration dense program gets > 0.
   int coalesce_every = 0;
 
@@ -93,7 +84,6 @@ inline void validate(const Config& cfg, bool fixed_iteration) {
     throw std::invalid_argument(std::string("engine::Config: ") + what);
   };
   if (cfg.num_threads < 1) reject("num_threads must be >= 1");
-  if (cfg.pipeline_depth < 0) reject("pipeline_depth must be >= 0");
   if (cfg.coalesce_every < 0) reject("coalesce_every must be >= 0");
   if (cfg.max_exchange_bytes < 0) reject("max_exchange_bytes must be >= 0");
   if (fixed_iteration && cfg.max_supersteps < 0)

@@ -4,10 +4,10 @@
 //
 // A dense program publishes one Value per vertex in ctx.values
 // (size n_total); the engine owns everything the kernels used to
-// hand-roll — the HaloPlan, the SuperstepPipeline, the coalesced
-// sparse-update path, the convergence collectives, and the
-// stale-ghost quiesce — so every transport knob in engine::Config
-// applies to every program with no per-kernel plumbing.
+// hand-roll — the HaloPlan, the coalesced sparse-update path, the
+// convergence collectives, and the coalesced path's stale-ghost
+// quiesce — so every transport knob in engine::Config applies to
+// every program with no per-kernel plumbing.
 //
 // Program shape (see analytics/programs.hpp for the concrete eight):
 //
@@ -27,19 +27,15 @@
 //
 // Superstep protocol (kExchangesValues, coalesce_every == 0):
 //   pre_superstep -> update(v) boundary-first, values shipped through
-//   the SuperstepPipeline (mid() runs against the in-flight wire;
-//   interior updates overlap it) -> apply() -> convergence check.
-// At pipeline depth >= 1 the refresh is carried into the next
-// superstep per the SuperstepPipeline staleness contract; update(v)
-// may then read ghosts up to one superstep stale, so only
-// stale-tolerant programs (monotone or majority-style updates) may
-// run at depth >= 1.
+//   HaloPlan::overlapped_superstep (mid() runs against the in-flight
+//   wire; interior updates overlap it; the refresh lands before the
+//   superstep ends) -> apply() -> convergence check.
 //
 // Convergence:
 //  * kConvergeOnChange (WCC/LP/KC/trim): stop when no rank's update
-//    set ctx.changed — with an in-flight refresh (depth >= 1) or
-//    pending coalesced rounds, the engine first flushes and re-checks
-//    whether any ghost moved (the k-core quiesce, generalized).
+//    set ctx.changed — with pending coalesced rounds, the engine first
+//    flushes and re-checks whether any ghost moved (the k-core
+//    quiesce, generalized).
 //  * fixed-iteration (PageRank, triangle count): run
 //    cfg.max_supersteps supersteps, which such a program must set;
 //    cfg.tol > 0 adds a residual allreduce and stops early when the
@@ -56,7 +52,6 @@
 #pragma once
 
 #include <array>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -179,8 +174,8 @@ struct DenseContext {
     return *halo_;
   }
 
-  /// Auxiliary wire engine configured with the run's knobs (shard
-  /// policy + chunk size), lazily built — for census passes and
+  /// Auxiliary wire engine configured with the run's knobs (backend +
+  /// chunk size), lazily built — for census passes and
   /// query_reply round trips inside program hooks. Its ledger lands in
   /// the run's Stats.
   comm::Exchanger& aux() {
@@ -244,31 +239,12 @@ void update_sweep(const graph::DistGraph& g, P& p, DenseContext<P>& ctx) {
   for (lid_t v = 0; v < g.n_local(); ++v) p.update(ctx, v);
 }
 
-/// Full-refresh superstep loop (the SuperstepPipeline path).
+/// Full-refresh superstep loop: every superstep refreshes every ghost
+/// in-step, so update(v) always reads the previous superstep's values.
 template <typename P>
-void run_dense_pipelined(sim::Comm& comm, const graph::DistGraph& g, P& p,
-                         const Config& cfg, DenseContext<P>& ctx) {
-  using Value = typename P::Value;
+void run_dense_full(sim::Comm& comm, const graph::DistGraph& g, P& p,
+                    const Config& cfg, DenseContext<P>& ctx) {
   graph::HaloPlan& halo = *ctx.halo_;
-  graph::SuperstepPipeline<Value> pipe(halo, cfg.pipeline_depth);
-
-  // Start-of-superstep ghost snapshot for the stale-ghost quiesce of
-  // programs without a prev array (ghosts only mutate inside a
-  // superstep, so "end of previous" == "start of this one").
-  std::vector<Value> ghost_seen;
-  const bool need_ghost_seen =
-      converge_on_change<P>() && !uses_prev<P>() && pipe.depth() > 0;
-  const auto ghosts_moved = [&](const std::vector<Value>& seen,
-                                std::size_t offset) {
-    bool moved = false;
-    for (lid_t v = g.n_local(); v < g.n_total(); ++v)
-      if (ctx.values[v] != seen[static_cast<std::size_t>(v) - offset])
-        moved = true;
-    return moved;
-  };
-  if (need_ghost_seen)
-    ghost_seen.assign(ctx.values.begin() + g.n_local(), ctx.values.end());
-
   const count_t limit = superstep_limit(cfg);
   for (count_t s = 0; s < limit; ++s) {
     if constexpr (requires { p.pre_superstep(ctx); }) p.pre_superstep(ctx);
@@ -277,7 +253,7 @@ void run_dense_pipelined(sim::Comm& comm, const graph::DistGraph& g, P& p,
     // Every superstep replays the boundary-first sweep, so the
     // prefetch plan rewinds with it (no-op in-core).
     g.restart_prefetch_plan();
-    pipe.superstep(
+    halo.overlapped_superstep(
         comm, ctx.values, [&](lid_t v) { p.update(ctx, v); },
         [&] {
           if constexpr (requires { p.mid(ctx); }) p.mid(ctx);
@@ -288,37 +264,13 @@ void run_dense_pipelined(sim::Comm& comm, const graph::DistGraph& g, P& p,
     ++ctx.superstep;
 
     if constexpr (converge_on_change<P>()) {
-      if (!comm.allreduce_or(ctx.changed)) {
-        if (pipe.depth() == 0) break;
-        // Stale-tolerant quiesce: deliver the in-flight refresh; if
-        // any ghost moved since the superstep began, the fixpoint may
-        // still be off somewhere.
-        pipe.flush(comm, ctx.values);
-        bool moved;
-        if constexpr (uses_prev<P>()) {
-          moved = ghosts_moved(ctx.prev, 0);
-          ctx.prev = ctx.values;
-        } else {
-          moved = ghosts_moved(ghost_seen, static_cast<std::size_t>(
-                                               g.n_local()));
-          ghost_seen.assign(ctx.values.begin() + g.n_local(),
-                            ctx.values.end());
-        }
-        if (!comm.allreduce_or(moved)) break;
-        continue;
-      }
+      if (!comm.allreduce_or(ctx.changed)) break;
       if constexpr (uses_prev<P>()) ctx.prev = ctx.values;
-      if (need_ghost_seen)
-        ghost_seen.assign(ctx.values.begin() + g.n_local(),
-                          ctx.values.end());
     } else {
       if (cfg.tol > 0.0 && comm.allreduce_sum(ctx.residual) <= cfg.tol)
         break;
     }
   }
-  // Ghosts converge to the owners' last-shipped values (no-op at
-  // depth 0).
-  pipe.flush(comm, ctx.values);
 }
 
 /// Coalesced sparse-refresh superstep loop (change-converging
@@ -495,7 +447,7 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
     if constexpr (detail::converge_on_change<P>())
       detail::run_dense_coalesced(comm, g, p, cfg, ctx, stats);
   } else {
-    detail::run_dense_pipelined(comm, g, p, cfg, ctx);
+    detail::run_dense_full(comm, g, p, cfg, ctx);
   }
 
   if constexpr (requires { p.finish(ctx); }) p.finish(ctx);

@@ -7,7 +7,7 @@
 // graph::FrontierStepper — ghost relaxations staged and shipped as
 // `Notify` records while the owned relaxations run mid-flight — and
 // the program's hooks define what "relax" means. Every transport knob
-// in engine::Config (shard policy, chunk size) applies to the
+// in engine::Config (backend, chunk size) applies to the
 // notification exchange with no per-kernel plumbing.
 //
 // Program shape (see analytics/programs.hpp for the concrete three):

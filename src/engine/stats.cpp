@@ -13,8 +13,7 @@ std::string Stats::to_json() const {
       "\"exchanges\": %lld, \"phases\": %lld, \"records_sent\": %lld, "
       "\"bytes_sent\": %lld, \"coalesced_flushes\": %lld, "
       "\"overlapped\": %lld, "
-      "\"max_inflight_bytes\": %lld, \"drained_incrementally\": %lld, "
-      "\"pipeline_carried\": %lld, \"max_pipeline_depth\": %lld, "
+      "\"max_inflight_bytes\": %lld, "
       "\"one_sided_gets\": %lld, \"one_sided_bytes\": %lld, "
       "\"seg_hits\": %lld, \"seg_misses\": %lld, \"seg_evictions\": %lld, "
       "\"seg_prefetch_hits\": %lld, \"seg_fetch_bytes\": %lld, "
@@ -28,9 +27,6 @@ std::string Stats::to_json() const {
       static_cast<long long>(exchange.coalesced_flushes),
       static_cast<long long>(exchange.overlapped),
       static_cast<long long>(exchange.max_inflight_bytes),
-      static_cast<long long>(exchange.drained_incrementally),
-      static_cast<long long>(exchange.pipeline_carried),
-      static_cast<long long>(exchange.max_pipeline_depth),
       static_cast<long long>(exchange.one_sided_gets),
       static_cast<long long>(exchange.one_sided_bytes),
       static_cast<long long>(exchange.seg_hits),

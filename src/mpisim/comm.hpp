@@ -39,8 +39,8 @@
 // `exposed_seconds`: an alpha-beta *modeled* transfer time, minus (for
 // the split nonblocking pair) the wall time the caller spent elsewhere
 // between start and finish. It answers "how much modeled wire time was
-// NOT hidden behind compute" — the metric the pipeline-depth CI
-// contract gates — without ever sleeping. Control collectives
+// NOT hidden behind compute" — reported beside the wire bytes —
+// without ever sleeping. Control collectives
 // (allreduce/bcast/gather/counts) are exposure-free by convention.
 #pragma once
 

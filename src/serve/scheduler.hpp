@@ -36,9 +36,9 @@
 namespace xtra::serve {
 
 struct ServeConfig {
-  /// Transport knobs for the packed frontier exchange (shard policy,
-  /// backend, max_exchange_bytes, num_threads). Pipeline/coalesce
-  /// fields are dense-mode knobs and ignored here.
+  /// Transport knobs for the packed frontier exchange (backend,
+  /// max_exchange_bytes, num_threads). coalesce_every and tol are
+  /// dense-mode knobs and ignored here.
   engine::Config engine;
   /// Concurrent query slots: the packing width of a superstep. 1
   /// degenerates into per-query serial execution (the bench twin the

@@ -784,7 +784,6 @@ TEST(OneSidedExchange, StartFinishOverlapsAndSurvivesBufferDeath) {
     Exchanger ex(0, comm::Backend::kOneSided);
     ex.start(comm, send, counts);
     EXPECT_TRUE(ex.in_flight());
-    EXPECT_EQ(ex.phases_remaining(), 1);
     // The snapshot backs the exposed window — the caller's buffer may
     // die, and blocking collectives may run, while peers still pull.
     std::fill(send.begin(), send.end(), 0xDEADBEEFu);

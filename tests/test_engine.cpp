@@ -1,14 +1,18 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // bit-identity matrix against a default-knob run across the transport
-// knobs ({two-sided, one-sided} x {pipeline depth 0, 1, 2} x
-// {coalesce 0, 1, 3}), the two engine-native
-// workloads against serial oracles (delta-capped SSSP vs Dijkstra,
-// approximate triangle count vs an exact serial count), and the
-// Stats/Config plumbing, including the rejection of invalid Configs.
+// knobs ({two-sided, one-sided} x {coalesce 0, 1, 3}), the dense
+// drivers against hand-written blocking references (the overlapped
+// halo superstep, PageRank, k-core) and against each other (commLP
+// coalesced vs full refresh, ghosts equal owners on exit), the two
+// engine-native workloads against serial oracles (delta-capped SSSP vs
+// Dijkstra, approximate triangle count vs an exact serial count), and
+// the Stats/Config plumbing, including the rejection of invalid
+// Configs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <queue>
 #include <stdexcept>
@@ -24,7 +28,9 @@
 #include "gen/generators.hpp"
 #include "graph/bfs.hpp"
 #include "graph/dist_graph.hpp"
+#include "graph/halo.hpp"
 #include "mpisim/comm.hpp"
+#include "util/parallel.hpp"
 
 namespace xtra::analytics {
 namespace {
@@ -84,22 +90,14 @@ DistGraph build_graph(sim::Comm& comm, const EdgeList& el,
   return g;
 }
 
-/// The knob matrix of the ISSUE: every transport configuration the
-/// engine must drive every kernel through. Pipeline depth and
-/// coalescing are exclusive staleness regimes, so the matrix sweeps
-/// depth {0, 1, 2} at coalesce 0 and coalesce {1, 3} at depth 0 —
-/// each crossed with both wire backends.
+/// Every transport configuration the engine must drive every kernel
+/// through: the full refresh (coalesce 0) and the coalesced refresh
+/// at cadence {1, 3}, each crossed with both wire backends.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
   for (const comm::Backend backend :
        {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    for (const int depth : {0, 1, 2}) {
-      engine::Config cfg;
-      cfg.backend = backend;
-      cfg.pipeline_depth = depth;
-      cfgs.push_back(cfg);
-    }
-    for (const int coalesce : {1, 3}) {
+    for (const int coalesce : {0, 1, 3}) {
       engine::Config cfg;
       cfg.backend = backend;
       cfg.coalesce_every = coalesce;
@@ -111,8 +109,7 @@ std::vector<engine::Config> knob_matrix() {
 
 std::string cfg_name(const engine::Config& cfg) {
   return std::string(cfg.backend == comm::Backend::kOneSided ? "1s" : "2s") +
-         "/d" + std::to_string(cfg.pipeline_depth) + "/c" +
-         std::to_string(cfg.coalesce_every);
+         "/c" + std::to_string(cfg.coalesce_every);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,10 +177,10 @@ TEST(EngineMatrix, KCoreBitIdenticalAcrossAllKnobs) {
 }
 
 // Community LP's majority vote is trajectory-dependent: only the
-// staleness-free cells (depth 0, coalesce <= 1) are bit-identical to
-// the default-knob run; the stale cells must still converge to a valid
+// staleness-free cells (coalesce <= 1) are bit-identical to the
+// default-knob run; the stale cells must still converge to a valid
 // labeling on a planted-community graph.
-TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
+TEST(EngineMatrix, CommLpCoalesce1BitIdentical) {
   EdgeList el;
   el.n = 40;
   for (gid_t base : {gid_t{0}, gid_t{20}})
@@ -207,8 +204,7 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
       engine::Config run_cfg = cfg;
       run_cfg.max_supersteps = 10;
       engine::run(comm, g, p, run_cfg);
-      const bool exact =
-          cfg.pipeline_depth == 0 && cfg.coalesce_every <= 1;
+      const bool exact = cfg.coalesce_every <= 1;
       const auto global = by_gid(comm, g, p.label);
       if (comm.rank() == 0 && exact) {
         EXPECT_EQ(global, ref) << cfg_name(cfg);
@@ -222,10 +218,8 @@ TEST(EngineMatrix, CommLpDepth0AndCoalesce1BitIdentical) {
   }
 }
 
-// PageRank is fixed-iteration: the transport knobs that preserve the
-// read schedule (backend, chunk size, depth 0) are bit-identical; a
-// depth-1 run reads one-superstep-stale ghost contributions but must
-// still conserve mass.
+// PageRank is fixed-iteration: the transport knobs (backend, chunk
+// size) preserve the read schedule, so every cell is bit-identical.
 TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
   std::vector<double> ref;
@@ -262,21 +256,6 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
         EXPECT_NEAR(p.sum, 1.0, 1e-9);
       });
     }
-  // Depth 1: stale-but-contracting — run to residual convergence,
-  // where the one-superstep ghost lag has washed out and mass is
-  // conserved (mid-run iterates are not mass-conserving by design).
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    PageRankProgram p;
-    engine::Config cfg;
-    cfg.max_supersteps = 400;
-    cfg.pipeline_depth = 1;
-    cfg.tol = 1e-10;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    EXPECT_NEAR(p.sum, 1.0, 1e-8);
-    EXPECT_LT(st.supersteps, 400);  // the residual stop engaged
-  });
 }
 
 // The composites route every engine run they issue through cfg: both
@@ -546,6 +525,241 @@ TEST(Triangles, TriangleFreeGraphCountsZero) {
 }
 
 // ---------------------------------------------------------------------------
+// The dense drivers against hand-written blocking references. The
+// full refresh (HaloPlan::overlapped_superstep) must reproduce a
+// superstep that updates every owned vertex and then refreshes every
+// ghost with a blocking exchange, bit for bit; the coalesced refresh
+// at cadence 1 must reproduce the full refresh.
+
+/// Reference superstep: update every owned vertex, then a blocking
+/// ghost refresh.
+template <typename T, typename Fn>
+void blocking_superstep(sim::Comm& comm, graph::HaloPlan& halo,
+                        const DistGraph& g, std::vector<T>& vals,
+                        Fn&& update) {
+  for (lid_t v = 0; v < g.n_local(); ++v) update(v);
+  halo.exchange(comm, vals);
+}
+
+// Serial and parallel (8 threads, oversubscribed) overlapped
+// supersteps, with a collective riding the in-flight wire, land every
+// superstep in the blocking reference's state with the same wire
+// bytes, for unbounded and multi-phase bounds. The CI ThreadSanitizer
+// job runs the parallel sweep.
+TEST(HaloSuperstep, OverlappedBitIdenticalToBlocking) {
+  const EdgeList el = gen::erdos_renyi(400, 8, 29);
+  for (const count_t bound : {count_t(0), count_t(8), count_t(1) << 14}) {
+    for (const bool parallel : {false, true}) {
+      sim::run_world(4, [&](sim::Comm& comm) {
+        const DistGraph g = graph::build_dist_graph(
+            comm, el, VertexDist::random(el.n, 4, 5));
+        graph::HaloPlan ref_halo(comm, g, env_backend());
+        graph::HaloPlan halo(comm, g, env_backend());
+        ref_halo.set_max_send_bytes(bound);
+        halo.set_max_send_bytes(bound);
+        ref_halo.reset_stats();
+        halo.reset_stats();
+        par::ThreadScope threads(parallel ? 8 : 1);
+
+        std::vector<gid_t> expect(g.n_total()), vals(g.n_total());
+        for (lid_t v = 0; v < g.n_total(); ++v)
+          expect[v] = vals[v] = g.gid_of(v);
+        for (int iter = 1; iter <= 3; ++iter) {
+          blocking_superstep(comm, ref_halo, g, expect, [&](lid_t v) {
+            expect[v] = expect[v] * 5 + static_cast<gid_t>(iter);
+          });
+          halo.overlapped_superstep(
+              comm, vals,
+              [&](lid_t v) {
+                vals[v] = vals[v] * 5 + static_cast<gid_t>(iter);
+              },
+              [&] { (void)comm.allreduce_sum<count_t>(1); }, parallel);
+          EXPECT_FALSE(halo.prefetch_in_flight());
+          ASSERT_EQ(vals, expect)
+              << "bound=" << bound << " parallel=" << parallel
+              << " iter=" << iter;
+        }
+        EXPECT_EQ(halo.stats().bytes_sent, ref_halo.stats().bytes_sent);
+        EXPECT_EQ(halo.stats().phases, ref_halo.stats().phases);
+        EXPECT_EQ(halo.stats().overlapped, halo.stats().exchanges);
+      });
+    }
+  }
+}
+
+TEST(EngineReference, PageRankBitIdenticalToBlockingReference) {
+  const EdgeList el = gen::community_graph(1000, 8, 0.6, 2.3, 3);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g = graph::build_dist_graph(
+        comm, el, VertexDist::random(el.n, 4, 5));
+    constexpr int kIters = 15;
+    constexpr double kDamping = 0.85;
+
+    // Blocking reference: contrib + dangling in one pass, blocking
+    // halo refresh, allreduce, update.
+    std::vector<double> ref_rank(g.n_total(),
+                                 1.0 / static_cast<double>(g.n_global()));
+    {
+      graph::HaloPlan halo(comm, g);
+      const double n = static_cast<double>(g.n_global());
+      std::vector<double> contrib(g.n_total(), 0.0);
+      for (int iter = 0; iter < kIters; ++iter) {
+        double dangling = 0.0;
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          const count_t d = g.degree(v);
+          if (d == 0) {
+            dangling += ref_rank[v];
+            contrib[v] = 0.0;
+          } else {
+            contrib[v] = ref_rank[v] / static_cast<double>(d);
+          }
+        }
+        halo.exchange(comm, contrib);
+        dangling = comm.allreduce_sum(dangling);
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          double sum = 0.0;
+          for (const lid_t u : g.neighbors(v)) sum += contrib[u];
+          ref_rank[v] =
+              (1.0 - kDamping) / n + kDamping * (sum + dangling / n);
+        }
+      }
+      halo.exchange(comm, ref_rank);
+    }
+
+    PageRankProgram pr;
+    pr.damping = kDamping;
+    const engine::Stats st =
+        engine::run(comm, g, pr, {.max_supersteps = kIters});
+    ASSERT_EQ(pr.rank.size(), ref_rank.size());
+    for (lid_t v = 0; v < g.n_total(); ++v)
+      EXPECT_EQ(pr.rank[v], ref_rank[v]) << "lid " << v;  // bit-identical
+    EXPECT_EQ(st.supersteps, kIters);
+  });
+}
+
+TEST(EngineReference, KcoreBitIdenticalToBlockingReference) {
+  const EdgeList el = gen::community_graph(800, 8, 0.6, 2.3, 5);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g = graph::build_dist_graph(
+        comm, el, VertexDist::random(el.n, 4, 5));
+    constexpr int kRounds = 12;
+
+    // Blocking reference: the synchronous (Jacobi) h-index sweep with
+    // a full blocking ghost refresh per round.
+    std::vector<count_t> ref(g.n_total());
+    {
+      graph::HaloPlan halo(comm, g);
+      for (lid_t v = 0; v < g.n_total(); ++v) ref[v] = g.degree(v);
+      std::vector<count_t> prev(ref), nbr;
+      for (int round = 0; round < kRounds; ++round) {
+        bool changed = false;
+        for (lid_t v = 0; v < g.n_local(); ++v) {
+          nbr.clear();
+          for (const lid_t u : g.neighbors(v)) nbr.push_back(prev[u]);
+          std::sort(nbr.begin(), nbr.end(), std::greater<count_t>());
+          count_t h = 0;
+          for (std::size_t i = 0; i < nbr.size(); ++i) {
+            if (nbr[i] >= static_cast<count_t>(i + 1))
+              h = static_cast<count_t>(i + 1);
+            else
+              break;
+          }
+          h = std::min<count_t>(h, g.degree(v));
+          if (h < ref[v]) {
+            ref[v] = h;
+            changed = true;
+          }
+        }
+        halo.exchange(comm, ref);
+        prev = ref;
+        if (!comm.allreduce_or(changed)) break;
+      }
+    }
+
+    KCoreProgram kc;
+    engine::run(comm, g, kc, {.max_supersteps = kRounds});
+    ASSERT_EQ(kc.core.size(), ref.size());
+    for (lid_t v = 0; v < g.n_total(); ++v)
+      EXPECT_EQ(kc.core[v], ref[v]) << "lid " << v;
+  });
+}
+
+TEST(EngineCoalesce, CommLpCoalesceEveryOneBitIdenticalToUncoalesced) {
+  const EdgeList el = gen::community_graph(600, 8, 0.7, 2.3, 13);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g = graph::build_dist_graph(
+        comm, el, VertexDist::random(el.n, 4, 5));
+    // coalesce_every == 1 delivers every changed label every sweep —
+    // exactly the full refresh (unchanged ghosts already agree), so
+    // the runs must match bit for bit, supersteps included.
+    CommLpProgram plain, co;
+    const engine::Stats plain_st = engine::run(
+        comm, g, plain, {.coalesce_every = 0, .max_supersteps = 8});
+    const engine::Stats co_st = engine::run(
+        comm, g, co, {.coalesce_every = 1, .max_supersteps = 8});
+    EXPECT_EQ(co.label, plain.label);
+    EXPECT_EQ(co.num_communities, plain.num_communities);
+    EXPECT_EQ(co_st.supersteps, plain_st.supersteps);
+  });
+}
+
+TEST(EngineCoalesce, CommLpCoalescedRecoversPlantedCommunities) {
+  // Two 20-cliques and a single bridge: the planted structure must
+  // survive label staleness of up to coalesce_every - 1 sweeps.
+  EdgeList el;
+  el.n = 40;
+  for (gid_t base : {gid_t{0}, gid_t{20}})
+    for (gid_t a = base; a < base + 20; ++a)
+      for (gid_t b = a + 1; b < base + 20; ++b) el.edges.push_back({a, b});
+  el.edges.push_back({5, 25});
+  for (const int every : {2, 4}) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g = graph::build_dist_graph(
+          comm, el, VertexDist::random(el.n, 4, 4));
+      CommLpProgram r;
+      engine::run(comm, g, r, {.coalesce_every = every, .max_supersteps = 20});
+      EXPECT_EQ(r.num_communities, 2) << "every=" << every;
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        EXPECT_EQ(r.label[v], g.gid_of(v) < 20 ? 0u : 20u)
+            << "every=" << every;
+    });
+  }
+}
+
+TEST(EngineCoalesce, CommLpCoalescedGhostsConsistentOnExit) {
+  // Every change-converging program, on both dense refresh drivers,
+  // must exit with every ghost equal to its owner. The coalesced
+  // driver exits by sweep budget mid-batch (5 supersteps at cadence
+  // 3), so its trailing flush must still deliver everything; the full
+  // refresh lands every superstep's values before the superstep ends.
+  const EdgeList el = gen::erdos_renyi(500, 8, 17);
+  const auto check_ghosts = [](sim::Comm& comm, const DistGraph& g,
+                               const auto& result, const char* what,
+                               int every) {
+    auto check = result;
+    graph::HaloPlan halo(comm, g);
+    halo.exchange(comm, check);
+    EXPECT_EQ(check, result) << what << " every=" << every;
+  };
+  for (const int every : {0, 3}) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g = graph::build_dist_graph(
+          comm, el, VertexDist::random(el.n, 4, 5));
+      const engine::Config cfg{.coalesce_every = every, .max_supersteps = 5};
+      CommLpProgram lp;
+      engine::run(comm, g, lp, cfg);
+      check_ghosts(comm, g, lp.label, "commlp", every);
+      WccProgram wcc;
+      engine::run(comm, g, wcc, cfg);
+      check_ghosts(comm, g, wcc.component, "wcc", every);
+      KCoreProgram kc;
+      engine::run(comm, g, kc, cfg);
+      check_ghosts(comm, g, kc.core, "kcore", every);
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Stats and Config plumbing.
 
 TEST(EngineStats, LedgerAndJsonExport) {
@@ -563,7 +777,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
     const std::string json = st.to_json();
     for (const char* key :
          {"\"seconds\"", "\"comm_bytes\"", "\"supersteps\"",
-          "\"bytes_sent\"", "\"pipeline_carried\"", "\"seg_hits\"",
+          "\"bytes_sent\"", "\"overlapped\"", "\"seg_hits\"",
           "\"seg_misses\"", "\"seg_evictions\"", "\"seg_prefetch_hits\"",
           "\"seg_fetch_bytes\"", "\"seg_stall_seconds\""})
       EXPECT_NE(json.find(key), std::string::npos) << key;
@@ -580,7 +794,6 @@ TEST(EngineConfig, FromParamsMapsEveryKnob) {
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
   EXPECT_EQ(cfg.num_threads, 4);
   // The analytics-only knobs keep their defaults.
-  EXPECT_EQ(cfg.pipeline_depth, 0);
   EXPECT_EQ(cfg.coalesce_every, 0);
   EXPECT_EQ(cfg.tol, 0.0);
   EXPECT_EQ(cfg.max_supersteps, engine::Config::kUnbounded);
@@ -612,7 +825,6 @@ TEST(EngineConfig, InvalidConfigThrowsOnEveryRank) {
   const std::vector<std::pair<const char*, engine::Config>> bad_any = {
       {"num_threads 0", {.num_threads = 0}},
       {"num_threads -2", {.num_threads = -2}},
-      {"pipeline_depth -1", {.pipeline_depth = -1}},
       {"coalesce_every -1", {.coalesce_every = -1}},
       {"max_exchange_bytes -1", {.max_exchange_bytes = -1}},
   };
@@ -773,9 +985,8 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
           ex.exchanges,           ex.phases,
           ex.records_sent,        ex.bytes_sent,
           ex.coalesced_flushes,   ex.overlapped,
-          ex.max_inflight_bytes,  ex.drained_incrementally,
-          ex.pipeline_carried,    ex.max_pipeline_depth,
-          ex.one_sided_gets,      ex.one_sided_bytes};
+          ex.max_inflight_bytes,  ex.one_sided_gets,
+          ex.one_sided_bytes};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
@@ -911,27 +1122,9 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The engine's pipeline ledger lights up when a dense program runs at
-// depth 1 (the WCC/commLP pipeline support the engine added).
-TEST(EngineStats, PipelineCarryRecordedAtDepth1) {
-  const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  sim::run_world(4, [&](sim::Comm& comm) {
-    const DistGraph g =
-        build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-    WccProgram p;
-    engine::Config cfg = env_cfg();
-    cfg.pipeline_depth = 1;
-    const engine::Stats st = engine::run(comm, g, p, cfg);
-    if (comm.size() > 1) {
-      EXPECT_GT(st.exchange.pipeline_carried, 0);
-    }
-  });
-}
-
-// ISSUE acceptance: at pipeline_depth = 2 the ledger must observe two
-// refreshes genuinely in flight (max_pipeline_depth == 2), under both
-// backends. One-sided runs must also bill their pulls.
-TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
+// One-sided runs must bill their pulls in the engine ledger, and
+// two-sided runs must bill none.
+TEST(EngineStats, OneSidedPullsBilled) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
   for (const comm::Backend backend :
        {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
@@ -940,11 +1133,8 @@ TEST(EngineStats, MaxPipelineDepthObservedAtDepth2) {
           build_graph(comm, el, VertexDist::random(el.n, 4, 3));
       WccProgram p;
       engine::Config cfg;
-      cfg.pipeline_depth = 2;
       cfg.backend = backend;
       const engine::Stats st = engine::run(comm, g, p, cfg);
-      EXPECT_GT(st.exchange.pipeline_carried, 0);
-      EXPECT_EQ(st.exchange.max_pipeline_depth, 2);
       if (backend == comm::Backend::kOneSided) {
         EXPECT_GT(st.exchange.one_sided_gets, 0);
         EXPECT_GT(st.exchange.one_sided_bytes, 0);
