@@ -52,10 +52,6 @@ struct CommRow {
   // Informational: excluded from the baseline tolerance compare — it
   // carries wall-clock overlap credit.
   double exposed_wire_seconds_per_iter = 0.0;
-  // One-sided (pull-mode) wire volume, world-summed. Zero on two-sided
-  // rows; on *_onesided rows the bytes ride gets instead of alltoallv
-  // payloads and must not exceed the two-sided twin's bytes_per_iter.
-  double one_sided_bytes_per_iter = 0.0;
   // Out-of-core segment-cache ledger (world-summed, whole run). Zero on
   // in-core rows. The baseline gate tracks seg_fetch_bytes, and the
   // prefetch contract requires every *_nopf twin to stall strictly
@@ -73,8 +69,6 @@ void note_world(CommRow& row, const sim::CommStats& world, double iters) {
   row.bytes_per_iter = static_cast<double>(world.bytes_sent) / iters;
   row.collectives_per_iter = static_cast<double>(world.collectives) / iters;
   row.exposed_wire_seconds_per_iter = world.exposed_seconds / iters;
-  row.one_sided_bytes_per_iter =
-      static_cast<double>(world.one_sided_bytes) / iters;
 }
 
 /// Fill a row's overlap fields from one engine's aggregated stats.
@@ -183,18 +177,14 @@ BENCHMARK(BM_ExchangeUpdatesBounded)
 void BM_HaloExchangeBounded(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const auto bound = static_cast<count_t>(state.range(1));
-  const bool onesided = state.range(2) != 0;
   constexpr int kIters = 10;
   const graph::EdgeList el = gen::erdos_renyi(20'000, 16, 3);
-  CommRow row{onesided ? "halo_exchange_onesided" : "halo_exchange",
-              nranks, bound, 0, 0, 0};
+  CommRow row{"halo_exchange", nranks, bound, 0, 0, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, nranks, 3));
-      graph::HaloPlan halo(comm, g,
-                           onesided ? comm::Backend::kOneSided
-                                    : comm::Backend::kTwoSided);
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       // Meter only the replayed exchanges, not the one-time (and
       // always unbounded) registration the constructor performed.
@@ -216,15 +206,11 @@ void BM_HaloExchangeBounded(benchmark::State& state) {
   record_row(row);
 }
 BENCHMARK(BM_HaloExchangeBounded)
-    ->Args({2, 0, 0})
-    ->Args({4, 0, 0})
-    ->Args({4, 1 << 14, 0})
-    ->Args({8, 0, 0})
-    ->Args({16, 0, 0})
-    // Pull-mode twins: same refresh shipped via one-sided windows. The
-    // check script requires bytes/iter not to exceed the push rows'.
-    ->Args({4, 0, 1})
-    ->Args({8, 0, 1});
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({4, 1 << 14})
+    ->Args({8, 0})
+    ->Args({16, 0});
 
 /// The overlapped ghost-refresh pipeline (prefetch_next / local update
 /// of the interior / finish_prefetch) against the same workload as
@@ -427,17 +413,12 @@ void BM_CommLpCoalesced(benchmark::State& state) {
 }
 BENCHMARK(BM_CommLpCoalesced)->Args({8, 0})->Args({8, 4});
 
-/// PageRank and community-LP at default transport knobs on the
-/// two-sided and the one-sided backend: the _onesided rows are pinned
-/// against their two-sided partners by the check script.
-void BM_EngineTwin(benchmark::State& state) {
+/// PageRank and community-LP at default transport knobs.
+void BM_EngineDefaults(benchmark::State& state) {
   const int nranks = static_cast<int>(state.range(0));
   const bool commlp = state.range(1) != 0;
-  const bool onesided = state.range(2) != 0;
   const graph::EdgeList el = gen::erdos_renyi(8'000, 12, commlp ? 7 : 5);
-  std::string name = commlp ? "commlp_engine" : "pagerank_engine";
-  if (onesided) name += "_onesided";
-  CommRow row{name, nranks, 0};
+  CommRow row{commlp ? "commlp_engine" : "pagerank_engine", nranks, 0};
   for (auto _ : state) {
     sim::run_world(nranks, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
@@ -445,7 +426,6 @@ void BM_EngineTwin(benchmark::State& state) {
       comm.barrier();
       comm.reset_stats();
       engine::Config cfg;
-      if (onesided) cfg.backend = comm::Backend::kOneSided;
       engine::Stats st;
       if (commlp) {
         analytics::CommLpProgram p;
@@ -467,14 +447,7 @@ void BM_EngineTwin(benchmark::State& state) {
   state.counters["colls/iter"] = row.collectives_per_iter;
   record_row(row);
 }
-BENCHMARK(BM_EngineTwin)
-    ->Args({8, 0, 0})
-    ->Args({8, 1, 0})
-    // Pull-mode twins: the check script requires bytes/iter not to
-    // exceed the two-sided rows' — one-sided re-routes the same
-    // payload through window gets, it must not inflate it.
-    ->Args({8, 0, 1})
-    ->Args({8, 1, 1});
+BENCHMARK(BM_EngineDefaults)->Args({8, 0})->Args({8, 1});
 
 /// PageRank with the adjacency behind the out-of-core segment cache
 /// (mmap spill backing), at a 25% and a 100% frame budget, each with a
@@ -697,7 +670,6 @@ int main(int argc, char** argv) {
         "\"start_seconds\": %.4f, \"finish_seconds\": %.4f, "
         "\"max_inflight_bytes\": %lld, "
         "\"exposed_wire_seconds_per_iter\": %.4f, "
-        "\"one_sided_bytes_per_iter\": %.1f, "
         "\"seg_hits\": %lld, \"seg_misses\": %lld, "
         "\"seg_evictions\": %lld, \"seg_prefetch_hits\": %lld, "
         "\"seg_fetch_bytes\": %lld, \"seg_stall_seconds\": %.4f}",
@@ -707,7 +679,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(r.coalesced_flushes), r.overlapped_frac,
         r.start_seconds, r.finish_seconds,
         static_cast<long long>(r.max_inflight_bytes),
-        r.exposed_wire_seconds_per_iter, r.one_sided_bytes_per_iter,
+        r.exposed_wire_seconds_per_iter,
         static_cast<long long>(r.seg_hits),
         static_cast<long long>(r.seg_misses),
         static_cast<long long>(r.seg_evictions),

@@ -12,9 +12,8 @@
 //                        amortize per-superstep collectives) at equal
 //                        payload bytes (packing changes WHEN records
 //                        travel, never WHAT travels)
-//   serve_mix_onesided   budget 8 over the one-sided backend — must
+//   serve_mix_t8         budget 8 at 8 intra-rank threads — must
 //                        reproduce serve_mix's latencies EXACTLY
-//   serve_mix_t8         budget 8 at 8 intra-rank threads — ditto
 //
 // The SERVE_STATS_JSON block is gated by check_comm_baseline.py
 // (--serving-bench): baseline tolerance on p99/bytes/collectives plus
@@ -95,10 +94,6 @@ void sweep(int nranks) {
   serve::ServeConfig perquery = cfg;
   perquery.slot_budget = 1;
   run_config("serve_mix_perquery", nranks, perquery);
-
-  serve::ServeConfig onesided = cfg;
-  onesided.engine.backend = comm::Backend::kOneSided;
-  run_config("serve_mix_onesided", nranks, onesided);
 
   serve::ServeConfig threaded = cfg;
   threaded.engine.num_threads = 8;

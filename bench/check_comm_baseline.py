@@ -20,12 +20,6 @@ even when it stays inside the baseline tolerance. Exposure
 (exposed_wire_seconds_per_iter) is reported but never compared — its
 overlap credit is wall clock.
 
-The one-sided rows (*_onesided twins of halo_exchange and the engine
-rows) carry another absolute contract: pull-mode must move no more
-wire bytes per iteration than the two-sided twin, and must actually
-bill one-sided traffic (a zero one_sided_bytes_per_iter means the
-backend knob silently fell back to push mode).
-
 The MPI+X rows carry another absolute contract: every *_tN row
 (N > 1 intra-rank threads) must match its *_t1 twin EXACTLY on every
 wire metric — bytes and collectives. The thread
@@ -61,13 +55,11 @@ serve_mix_perquery twin (slot budget 1) at the same rank count — one
 shared ledger allreduce per packed superstep is why the batched
 frontier exists — while moving the same payload within a small slack
 (the ledger vector itself is budget-sized, so its allreduce bytes
-shift slightly with packing). Determinism: the serve_mix_onesided and
-serve_mix_t8 twins must reproduce serve_mix's whole latency ledger
-(p50/p95/p99, qps, supersteps/query, occupancy, virtual seconds)
-EXACTLY — the wire backend and the thread width are pure throughput
-knobs under the virtual clock. Wire metrics are per-backend and
-exempt from the determinism parity. --serving-only skips the comm
-sweep for a serving-gate-only CI job.
+shift slightly with packing). Determinism: the serve_mix_t8 twin must
+reproduce serve_mix's whole latency ledger (p50/p95/p99, qps,
+supersteps/query, occupancy, virtual seconds) EXACTLY — the thread
+width is a pure throughput knob under the virtual clock. --serving-only
+skips the comm sweep for a serving-gate-only CI job.
 
 Usage:
   python3 bench/check_comm_baseline.py --bench build/bench_micro_exchange
@@ -91,11 +83,6 @@ COALESCE_PAIRS = ("commlp_coalesced", "commlp_uncoalesced")
 # twin exactly on every wire metric (threads change timing only).
 THREAD_ROW = re.compile(r"^(.+_threads)_t(\d+)$")
 THREAD_METRICS = ("bytes_per_iter", "collectives_per_iter")
-# One-sided rows: "<bench>_onesided" pulls the same payload from
-# exposure windows instead of pushing it through alltoallv. It must
-# not move more wire bytes per iteration than its two-sided twin.
-ONESIDED_ROW = re.compile(r"^(.+)_onesided$")
-ONESIDED_SLACK = 1.001  # equality modulo float formatting
 # Out-of-core rows: "<bench>_nopf" is the prefetch-off twin of an
 # otherwise identical segcache row. Prefetch must strictly reduce the
 # modeled demand stall (deterministic latency model — no noise floor).
@@ -106,7 +93,7 @@ SEG_STALL = "seg_stall_seconds"
 # exposure fields are excluded: the verifier may cost wall clock, never
 # wire traffic.
 PARITY_METRICS = ("bytes_per_iter", "collectives_per_iter",
-                  "one_sided_bytes_per_iter", "seg_fetch_bytes")
+                  "seg_fetch_bytes")
 # --- Serving gates (SERVE_STATS_JSON from bench_serving) ------------
 SERVE_BASELINE = pathlib.Path(__file__).parent / "baselines" \
     / "serve_stats.json"
@@ -118,9 +105,9 @@ SERVE_PAIRS = ("serve_mix", "serve_mix_perquery")
 # holds only within a small slack (measured drift ~1.3%).
 SERVE_BYTES_SLACK = 1.05
 # serve_mix twins that must reproduce the exact same latency ledger:
-# backend and thread width are throughput knobs under the virtual
-# clock (DESIGN.md §10). Wire metrics are per-backend and exempt.
-SERVE_DETERMINISM_TWINS = ("serve_mix_onesided", "serve_mix_t8")
+# the thread width is a throughput knob under the virtual clock
+# (DESIGN.md §10).
+SERVE_DETERMINISM_TWINS = ("serve_mix_t8",)
 SERVE_DETERMINISM_METRICS = ("p50_ms", "p95_ms", "p99_ms",
                              "queries_per_sec", "slot_occupancy",
                              "supersteps_per_query", "virtual_seconds")
@@ -241,37 +228,6 @@ def check_thread_contract(current):
     return failures
 
 
-def check_onesided_contract(current):
-    """*_onesided rows must move no more wire bytes per iteration than
-    their two-sided twins — pull-mode re-routes the payload through
-    window gets, it must not inflate it."""
-    failures = []
-    pairs = 0
-    for key, row in current.items():
-        m = ONESIDED_ROW.match(key[0])
-        if m is None:
-            continue
-        twin = current.get((m.group(1), key[1], key[2]))
-        if twin is None:
-            failures.append(f"{key}: no two-sided twin row to compare "
-                            f"against")
-            continue
-        pairs += 1
-        o = row.get("bytes_per_iter", 0.0)
-        t = twin.get("bytes_per_iter", 0.0)
-        if o > t * ONESIDED_SLACK:
-            failures.append(
-                f"{key}: bytes_per_iter {o:.1f} exceeds two-sided "
-                f"twin's {t:.1f}")
-        if row.get("one_sided_bytes_per_iter", 0.0) <= 0.0:
-            failures.append(
-                f"{key}: one_sided_bytes_per_iter is zero — the row "
-                f"did not actually ride the one-sided backend")
-    if pairs == 0:
-        failures.append("no one-sided twin pairs in the current run")
-    return failures
-
-
 def check_segcache_contract(current):
     """Prefetch-on segcache rows must stall strictly less than their
     _nopf twins, and must actually land prefetch hits (a zero means
@@ -370,9 +326,9 @@ def check_multisource_contract(current):
 
 
 def check_serve_determinism(current):
-    """The one-sided and 8-thread twins must reproduce serve_mix's
-    latency ledger exactly: same seed + same trace => byte-identical
-    per-query latencies on either backend at any thread width."""
+    """The 8-thread twin must reproduce serve_mix's latency ledger
+    exactly: same seed + same trace => byte-identical per-query
+    latencies at any thread width."""
     failures = []
     pairs = 0
     for key, row in current.items():
@@ -391,7 +347,7 @@ def check_serve_determinism(current):
             if abs(a - b) > 1e-9 * max(1.0, abs(b)):
                 failures.append(
                     f"{key}: {metric} {a} drifted from serve_mix's {b} "
-                    f"(backend/threads must not touch the virtual clock)")
+                    f"(threads must not touch the virtual clock)")
     if pairs == 0:
         failures.append("no serve determinism twins in the current "
                         "serving run")
@@ -524,7 +480,6 @@ def main():
 
     failures += check_coalesce_contract(current)
     failures += check_thread_contract(current)
-    failures += check_onesided_contract(current)
     failures += check_segcache_contract(current)
 
     serving = ""
@@ -548,7 +503,7 @@ def main():
         sys.exit(1)
     print(f"comm baseline check passed: {len(baseline)} rows within "
           f"{args.tolerance:.0%}; coalesced commLP, thread-twin, "
-          f"one-sided, and segcache-prefetch contracts held" + serving
+          f"and segcache-prefetch contracts held" + serving
           + parity)
 
 

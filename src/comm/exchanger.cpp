@@ -36,7 +36,6 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
                   "Exchanger::start while an exchange is in flight");
   XTRA_ASSERT(counts.size() == static_cast<std::size_t>(comm.size()));
 
-  // Per-exchange bookkeeping shared by both transport backends.
   count_t total = 0;
   for (const count_t c : counts) total += c;
   ++stats_.exchanges;
@@ -74,16 +73,6 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
     pending_.wire_ = pending_.staging_.data();
   } else {
     pending_.wire_ = send;
-  }
-
-  if (backend_ == Backend::kOneSided) {
-    // Pull mode: no sender-side wire billing (consumers pay per get)
-    // and no phase agreement (the pull is receiver-paced).
-    start_onesided(comm, elem);
-    const double sec1 = t.seconds();
-    stats_.seconds += sec1;
-    stats_.start_seconds += sec1;
-    return;
   }
 
   for (int r = 0; r < nranks; ++r)
@@ -159,10 +148,6 @@ void Exchanger::start_bytes(sim::Comm& comm, const std::byte* send,
 void Exchanger::finish_bytes(sim::Comm& comm) {
   XTRA_ASSERT_MSG(pending_.active_,
                   "Exchanger::finish without a started exchange");
-  if (onesided_inflight_) {
-    finish_onesided(comm);
-    return;
-  }
   Timer t;
   const int nranks = comm.size();
   const std::size_t elem = pending_.elem_;
@@ -221,80 +206,6 @@ void Exchanger::finish_bytes(sim::Comm& comm) {
   }
   pending_.active_ = false;
   pending_.wire_ = nullptr;
-  const double sec = t.seconds();
-  stats_.seconds += sec;
-  stats_.finish_seconds += sec;
-}
-
-// ---------------------------------------------------------------------------
-// One-sided transport: the start half exposes the staged
-// destination-grouped payload in a substrate window, registering the
-// per-destination counts as free metadata; the finish half pulls each
-// per-source segment passively with win_get and closes the epoch.
-// Bit-identity with the two-sided path is by construction — the same
-// records are fetched from the same layout the push would have sent —
-// and billing moves to the consumer: per-get wire bytes on the
-// substrate side, the one_sided_* ledger here.
-
-void Exchanger::start_onesided(sim::Comm& comm, std::size_t elem) {
-  pending_.nphases_ = 1;  // the pull completes in one finish
-  pending_.phase_ = 0;
-  pending_.max_records_ = std::max<count_t>(pending_.total_, 1);
-  pending_.win_ = comm.find_free_window();
-  pending_.active_ = true;
-  onesided_inflight_ = true;
-  // The exposure is read-only by protocol: peers pull with win_get and
-  // never put, so exposing the (const) staged payload is sound.
-  comm.win_expose(
-      const_cast<std::byte*>(pending_.wire_),
-      static_cast<std::size_t>(pending_.total_) * elem,
-      pending_.counts_.data(), pending_.win_, label_);
-}
-
-void Exchanger::finish_onesided(sim::Comm& comm) {
-  Timer t;
-  const int P = comm.size();
-  const int me = comm.rank();
-  const std::size_t elem = pending_.elem_;
-  const int win = pending_.win_;
-
-  // Arrival counts come from every producer's registered metadata —
-  // rank s's per-destination counts row — exactly what the two-sided
-  // path learns from the substrate's count publication.
-  rcounts_.resize(static_cast<std::size_t>(P));
-  recv_total_ = 0;
-  for (int s = 0; s < P; ++s) {
-    const count_t c = comm.win_meta(s, win)[me];
-    rcounts_[static_cast<std::size_t>(s)] = c;
-    recv_total_ += c;
-  }
-  recv_bytes_.resize(static_cast<std::size_t>(recv_total_) * elem);
-  std::size_t out = 0;
-  for (int s = 0; s < P; ++s) {
-    const count_t c = rcounts_[static_cast<std::size_t>(s)];
-    if (c == 0) continue;
-    // Our segment starts after every lower-ranked destination's run in
-    // s's destination-grouped exposure.
-    const count_t* meta = comm.win_meta(s, win);
-    count_t offset = 0;
-    for (int q = 0; q < me; ++q) offset += meta[q];
-    const std::size_t len = static_cast<std::size_t>(c) * elem;
-    comm.win_get(win, s, static_cast<std::size_t>(offset) * elem, len,
-                 recv_bytes_.data() + out);
-    ++stats_.one_sided_gets;
-    if (s != me) {
-      const count_t b = c * static_cast<count_t>(elem);
-      stats_.one_sided_bytes += b;
-      stats_.bytes_sent += b;  // consumer-side wire billing
-    }
-    out += len;
-  }
-  ++stats_.phases;
-  comm.win_unexpose(win);
-
-  pending_.active_ = false;
-  pending_.wire_ = nullptr;
-  onesided_inflight_ = false;
   const double sec = t.seconds();
   stats_.seconds += sec;
   stats_.finish_seconds += sec;

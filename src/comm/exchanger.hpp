@@ -26,15 +26,6 @@
 // and finish their own exchanges: each started exchange acquires its
 // own substrate channel (up to sim::kMaxChannels in flight per rank).
 //
-// Two transport backends (comm/backend.hpp) produce bit-identical
-// results: the default kTwoSided pushes payload through the
-// substrate's nonblocking alltoallv; kOneSided exposes the
-// destination-grouped payload in a one-sided window (counts travel as
-// registration metadata) and consumers win_get their segments
-// passively — the pull happens in the finish half, so start/compute/
-// finish overlap works unchanged. One-sided mode is receiver-paced, so
-// max_send_bytes does not split it into wire phases.
-//
 // The object owns all wire-side scratch (receive bytes, per-phase
 // counts, reassembly cursors) and reuses it across calls, so a
 // persistent Exchanger makes the per-iteration exchange of
@@ -54,7 +45,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "comm/backend.hpp"
 #include "comm/dest_buckets.hpp"
 #include "mpisim/comm.hpp"
 #include "util/assert.hpp"
@@ -80,12 +70,6 @@ struct ExchangeStats {
   count_t max_inflight_bytes = 0;   ///< peak payload bytes held in flight
   double start_seconds = 0.0;       ///< wall time inside start()
   double finish_seconds = 0.0;      ///< wall time inside finish()
-
-  // One-sided (Backend::kOneSided) per-op ledger: pulls this Exchanger
-  // issued against peers' exposed windows, and the remote payload they
-  // fetched (self-target pulls are free, matching the substrate).
-  count_t one_sided_gets = 0;
-  count_t one_sided_bytes = 0;
 
   // Out-of-core segment-cache ledger (graph::SegmentCache, DESIGN.md
   // §9). Exchangers themselves never touch these; the engine folds the
@@ -114,8 +98,6 @@ struct ExchangeStats {
     max_inflight_bytes = std::max(max_inflight_bytes, from.max_inflight_bytes);
     start_seconds += from.start_seconds;
     finish_seconds += from.finish_seconds;
-    one_sided_gets += from.one_sided_gets;
-    one_sided_bytes += from.one_sided_bytes;
     seg_hits += from.seg_hits;
     seg_misses += from.seg_misses;
     seg_evictions += from.seg_evictions;
@@ -150,8 +132,7 @@ class AsyncExchange {
   count_t max_records_ = 0;          ///< per-phase record cap
   count_t nphases_ = 0;              ///< agreed global phase count
   count_t phase_ = 0;                ///< phase currently in flight
-  int channel_ = 0;                  ///< substrate channel (two-sided)
-  int win_ = 0;                      ///< substrate window (one-sided)
+  int channel_ = 0;                  ///< substrate channel
   bool active_ = false;
 };
 
@@ -162,28 +143,18 @@ class Exchanger {
   /// at least one record per phase — a bound smaller than one record
   /// clamps to sizeof(T), never to a zero-progress phase plan). Same
   /// value required on all ranks.
-  explicit Exchanger(count_t max_send_bytes = 0,
-                     Backend backend = Backend::kTwoSided)
-      : max_send_bytes_(max_send_bytes), backend_(backend) {}
+  explicit Exchanger(count_t max_send_bytes = 0)
+      : max_send_bytes_(max_send_bytes) {}
 
   count_t max_send_bytes() const { return max_send_bytes_; }
   void set_max_send_bytes(count_t bytes) { max_send_bytes_ = bytes; }
 
   /// Attribution tag passed to the substrate with every channel
-  /// acquisition and window exposure this Exchanger performs; shows up
+  /// acquisition this Exchanger performs; shows up
   /// in channel-exhaustion and verifier diagnostics. Must point at
   /// storage outliving the Exchanger (string literals, in practice).
   const char* label() const { return label_; }
   void set_label(const char* label) { label_ = label; }
-
-  Backend backend() const { return backend_; }
-  /// Switch transport backend; results are bit-identical either way.
-  /// Same value required on all ranks; may not change mid-flight.
-  void set_backend(Backend backend) {
-    XTRA_ASSERT_MSG(!pending_.active(),
-                    "cannot change transport backend mid-exchange");
-    backend_ = backend;
-  }
 
   /// Exchange `counts[r]` records per destination rank r, laid out
   /// contiguously in destination order starting at `send`. Returns the
@@ -225,8 +196,7 @@ class Exchanger {
   /// may be reused or destroyed as soon as this returns. Run local
   /// compute, then drain with finish<T>(). Only one exchange may be in
   /// flight per Exchanger; each rank may hold up to sim::kMaxChannels
-  /// started exchanges (or sim::kMaxWindows one-sided ones) across all
-  /// its Exchangers at once.
+  /// started exchanges across all its Exchangers at once.
   template <typename T>
   void start(sim::Comm& comm, const T* send,
              const std::vector<count_t>& counts) {
@@ -305,18 +275,10 @@ class Exchanger {
   /// in recv_bytes_/recv_total_/rcounts_.
   void finish_bytes(sim::Comm& comm);
 
-  // One-sided halves (backend == kOneSided): start exposes the staged
-  // payload + counts metadata in a window; the finish pulls every
-  // per-source segment with win_get and closes the epoch.
-  void start_onesided(sim::Comm& comm, std::size_t elem);
-  void finish_onesided(sim::Comm& comm);
-
   count_t max_send_bytes_ = 0;
-  Backend backend_ = Backend::kTwoSided;
   const char* label_ = "comm::Exchanger";
   ExchangeStats stats_;
   AsyncExchange pending_;  ///< in-flight state between start and finish
-  bool onesided_inflight_ = false;  ///< pending exchange is an exposed window
 
   // Wire-side scratch, reused across calls.
   std::vector<std::byte> recv_bytes_;   ///< final grouped-by-source result

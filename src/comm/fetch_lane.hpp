@@ -61,7 +61,7 @@ class FetchLane {
     }
     win_ = comm.find_free_window();
     comm.win_expose(hosted_.empty() ? nullptr : hosted_.data(),
-                    hosted_.size(), nullptr, win_, "segcache fetch lane");
+                    hosted_.size(), win_, "segcache fetch lane");
     open_ = true;
   }
 

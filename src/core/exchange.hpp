@@ -75,7 +75,6 @@ class UpdateExchanger {
   }
 
   void set_max_send_bytes(count_t bytes) { ex_.set_max_send_bytes(bytes); }
-  void set_backend(comm::Backend backend) { ex_.set_backend(backend); }
   const comm::ExchangeStats& stats() const { return ex_.stats(); }
   void reset_stats() { ex_.reset_stats(); }
 

@@ -58,7 +58,6 @@ std::vector<part_t> init_bfs_growing(sim::Comm& comm,
   // Growth loops every superstep; keep one exchanger so its buffers
   // are reused across iterations (and honor the configured cap).
   UpdateExchanger exchanger(params.max_exchange_bytes);
-  exchanger.set_backend(params.backend);
   exchanger.build_destinations(g);
   exchanger.run(comm, g, parts, queue);
 

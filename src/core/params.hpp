@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/backend.hpp"
 #include "util/types.hpp"
 
 namespace xtra::core {
@@ -51,12 +50,6 @@ struct Params {
   /// paper's memory-bounded multi-phase communication; results are
   /// bit-identical for any value.
   count_t max_exchange_bytes = 0;
-
-  /// Transport of the ghost-update exchange: two-sided matched sends
-  /// (the default), or one-sided exposure windows the consumers pull
-  /// from (the RMA/remote-fetch style). Results are bit-identical;
-  /// same value required on every rank.
-  comm::Backend backend = comm::Backend::kTwoSided;
 
   /// Intra-rank worker threads (the "+X" of MPI+X) for the chunked
   /// deterministic sweeps: the partitioner's vert/edge phases and the

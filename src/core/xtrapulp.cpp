@@ -61,7 +61,6 @@ PartitionResult partition(sim::Comm& comm, const graph::DistGraph& g,
   st.nparts = params.nparts;
   st.nprocs = comm.size();
   st.exchanger.set_max_send_bytes(params.max_exchange_bytes);
-  st.exchanger.set_backend(params.backend);
   st.exchanger.build_destinations(g);
   st.x = params.mult_x;
   st.y = params.mult_y;

@@ -1,8 +1,8 @@
 // engine::Config — the one knob bag every vertex program runs under.
 //
-// The comm substrate offers several transport strategies
-// (memory-bounded phasing, one-sided pulls, coalescing). Config gathers their knobs so every kernel
-// executed by engine::run inherits every transport strategy;
+// The comm substrate offers two transport strategies (memory-bounded
+// phasing and cross-superstep coalescing). Config gathers their knobs
+// so every kernel executed by engine::run inherits both;
 // from_params() copies the knobs the partitioner shares with the
 // engine out of core::Params so benches drive analytics and
 // partitioning from one struct.
@@ -12,23 +12,16 @@
 #include <stdexcept>
 #include <string>
 
-#include "comm/backend.hpp"
 #include "core/params.hpp"
 #include "util/types.hpp"
 
 namespace xtra::engine {
 
 struct Config {
-  /// Transport of every exchange the engine issues (halo refreshes,
-  /// frontier notifications, census/query traffic): two-sided matched
-  /// sends (the default), or one-sided exposure windows the consumers
-  /// pull from (the RMA/remote-fetch style). Results are bit-identical
-  /// either way. Same value required on every rank.
-  comm::Backend backend = comm::Backend::kTwoSided;
-
-  /// Per-phase send-payload cap (chunk size) for the engine's
-  /// exchanges, in bytes; 0 = unbounded single alltoallv. Results are
-  /// bit-identical for any value. Same value on every rank.
+  /// Per-phase send-payload cap (chunk size) for every exchange the
+  /// engine issues (halo refreshes, frontier notifications,
+  /// census/query traffic), in bytes; 0 = unbounded single alltoallv.
+  /// Results are bit-identical for any value. Same value on every rank.
   count_t max_exchange_bytes = 0;
 
   /// > 0 switches a change-converging dense program's ghost refresh
@@ -61,12 +54,11 @@ struct Config {
   static constexpr count_t kUnbounded = -1;
   count_t max_supersteps = kUnbounded;
 
-  /// Copy the knobs the partitioner shares with the engine (transport,
-  /// chunk size, threads); the analytics-only knobs keep their defaults
+  /// Copy the knobs the partitioner shares with the engine (chunk
+  /// size, threads); the analytics-only knobs keep their defaults
   /// — set them, tol and max_supersteps after.
   static Config from_params(const core::Params& p) {
     Config cfg;
-    cfg.backend = p.backend;
     cfg.max_exchange_bytes = p.max_exchange_bytes;
     cfg.num_threads = p.num_threads;
     return cfg;

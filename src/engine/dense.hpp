@@ -174,14 +174,13 @@ struct DenseContext {
     return *halo_;
   }
 
-  /// Auxiliary wire engine configured with the run's knobs (backend +
-  /// chunk size), lazily built — for census passes and
+  /// Auxiliary wire engine configured with the run's chunk size,
+  /// lazily built — for census passes and
   /// query_reply round trips inside program hooks. Its ledger lands in
   /// the run's Stats.
   comm::Exchanger& aux() {
     if (!aux_) {
-      aux_ = std::make_unique<comm::Exchanger>(cfg.max_exchange_bytes,
-                                               cfg.backend);
+      aux_ = std::make_unique<comm::Exchanger>(cfg.max_exchange_bytes);
     }
     return *aux_;
   }
@@ -286,7 +285,7 @@ void run_dense_coalesced(sim::Comm& comm, const graph::DistGraph& g, P& p,
                 "the coalesced refresh requires a change-converging "
                 "program (deferred deliveries need a quiesce)");
   graph::HaloPlan& halo = *ctx.halo_;
-  comm::CoalescingExchanger co(0, cfg.max_exchange_bytes, cfg.backend);
+  comm::CoalescingExchanger co(0, cfg.max_exchange_bytes);
   const std::vector<count_t>& scounts = halo.send_counts();
   const std::vector<lid_t>& slids = halo.send_lids();
   // Last value shipped per (destination, owned lid) slot. The
@@ -429,7 +428,7 @@ Stats run_dense(sim::Comm& comm, const graph::DistGraph& g, P& p,
   DenseContext<P> ctx{comm, g, cfg};
   std::unique_ptr<graph::HaloPlan> halo;
   if constexpr (detail::exchanges_values<P>()) {
-    halo = std::make_unique<graph::HaloPlan>(comm, g, cfg.backend);
+    halo = std::make_unique<graph::HaloPlan>(comm, g);
     halo->set_max_send_bytes(cfg.max_exchange_bytes);
     ctx.halo_ = halo.get();
   }

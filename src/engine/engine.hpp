@@ -4,11 +4,11 @@
 // superstep loop and exposed whichever transport knobs had been
 // plumbed into it by hand. The engine inverts that: a kernel is a
 // small *program* struct (its per-vertex update plus init/epilogue
-// hooks), `engine::Config` is the one knob bag (backend, chunk
-// size, coalescing cadence, tolerance, threads, superstep cap), and `engine::run(comm, g, program, cfg)` owns the superstep
-// loop — so every comm optimization the substrate grows is inherited
-// by every kernel at once, the way RFP's uniform interface hides the
-// transport-mode choice from its callers.
+// hooks), `engine::Config` is the one knob bag (chunk size,
+// coalescing cadence, tolerance, threads, superstep cap), and
+// `engine::run(comm, g, program, cfg)` owns the superstep loop — so
+// every comm optimization the substrate grows is inherited by every
+// kernel at once.
 //
 // Two execution modes, dispatched on the program's shape:
 //  * dense (typename P::Value): one published value per vertex,

@@ -7,7 +7,7 @@
 // graph::FrontierStepper — ghost relaxations staged and shipped as
 // `Notify` records while the owned relaxations run mid-flight — and
 // the program's hooks define what "relax" means. Every transport knob
-// in engine::Config (backend, chunk size) applies to the
+// in engine::Config (chunk size) applies to the
 // notification exchange with no per-kernel plumbing.
 //
 // Program shape (see analytics/programs.hpp for the concrete three):
@@ -83,8 +83,7 @@ Stats run_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
 
   const graph::SegCacheStats seg_start = g.segcache_stats();
   FrontierContext<P> ctx{comm, g, cfg};
-  graph::FrontierStepper<typename P::Notify> stepper(cfg.max_exchange_bytes,
-                                                     cfg.backend);
+  graph::FrontierStepper<typename P::Notify> stepper(cfg.max_exchange_bytes);
   p.init(ctx);
 
   std::vector<count_t> plan;  // out-of-core: per-level prefetch order
@@ -160,7 +159,7 @@ Stats run_multi_frontier(sim::Comm& comm, const graph::DistGraph& g, P& p,
   const graph::SegCacheStats seg_start = g.segcache_stats();
   MultiFrontierContext<P> ctx{comm, g, cfg};
   graph::MultiSourceStepper<typename P::Notify> stepper(
-      cfg.max_exchange_bytes, cfg.backend);
+      cfg.max_exchange_bytes);
   p.init(ctx);
 
   std::vector<count_t> plan;           // out-of-core prefetch order

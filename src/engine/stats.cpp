@@ -14,7 +14,6 @@ std::string Stats::to_json() const {
       "\"bytes_sent\": %lld, \"coalesced_flushes\": %lld, "
       "\"overlapped\": %lld, "
       "\"max_inflight_bytes\": %lld, "
-      "\"one_sided_gets\": %lld, \"one_sided_bytes\": %lld, "
       "\"seg_hits\": %lld, \"seg_misses\": %lld, \"seg_evictions\": %lld, "
       "\"seg_prefetch_hits\": %lld, \"seg_fetch_bytes\": %lld, "
       "\"seg_stall_seconds\": %.6f}",
@@ -27,8 +26,6 @@ std::string Stats::to_json() const {
       static_cast<long long>(exchange.coalesced_flushes),
       static_cast<long long>(exchange.overlapped),
       static_cast<long long>(exchange.max_inflight_bytes),
-      static_cast<long long>(exchange.one_sided_gets),
-      static_cast<long long>(exchange.one_sided_bytes),
       static_cast<long long>(exchange.seg_hits),
       static_cast<long long>(exchange.seg_misses),
       static_cast<long long>(exchange.seg_evictions),

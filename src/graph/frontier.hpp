@@ -65,9 +65,8 @@ namespace xtra::graph {
 template <typename Notify>
 class FrontierStepper {
  public:
-  explicit FrontierStepper(count_t max_send_bytes = 0,
-                           comm::Backend backend = comm::Backend::kTwoSided)
-      : ex_(max_send_bytes, backend) {
+  explicit FrontierStepper(count_t max_send_bytes = 0)
+      : ex_(max_send_bytes) {
     ex_.set_label("graph::FrontierStepper");
   }
 
@@ -228,9 +227,8 @@ struct SlotNotify {
 template <typename Notify>
 class MultiSourceStepper {
  public:
-  explicit MultiSourceStepper(count_t max_send_bytes = 0,
-                              comm::Backend backend = comm::Backend::kTwoSided)
-      : ex_(max_send_bytes, backend) {
+  explicit MultiSourceStepper(count_t max_send_bytes = 0)
+      : ex_(max_send_bytes) {
     ex_.set_label("graph::MultiSourceStepper");
   }
 

@@ -5,9 +5,7 @@
 
 namespace xtra::graph {
 
-HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g,
-                   comm::Backend backend)
-    : ex_(0, backend) {
+HaloPlan::HaloPlan(sim::Comm& comm, const DistGraph& g) {
   ex_.set_label("graph::HaloPlan");
   // Ghosts register with their owners: send each ghost gid to its
   // owner; arrival order on the owner defines the send order, and the

@@ -8,9 +8,7 @@
 // Epetra Import object.
 //
 // The plan owns its wire machinery: one persistent staging buffer plus
-// a comm::Exchanger (optionally memory-bounded via set_max_send_bytes,
-// pushed two-sided or pulled from one-sided windows per the Backend
-// knob).
+// a comm::Exchanger (optionally memory-bounded via set_max_send_bytes).
 //
 // Ways to refresh:
 //  * exchange(comm, vals) — blocking, gather + wire + scatter.
@@ -33,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "comm/backend.hpp"
 #include "comm/exchanger.hpp"
 #include "comm/scratch.hpp"
 #include "graph/dist_graph.hpp"
@@ -45,12 +42,8 @@ namespace xtra::graph {
 
 class HaloPlan {
  public:
-  /// Collective: ghosts register with their owners once. `backend`
-  /// selects push (matched alltoallv) or pull (one-sided windows)
-  /// transport for the registration and every subsequent exchange
-  /// (bit-identical results either way).
-  HaloPlan(sim::Comm& comm, const DistGraph& g,
-           comm::Backend backend = comm::Backend::kTwoSided);
+  /// Collective: ghosts register with their owners once.
+  HaloPlan(sim::Comm& comm, const DistGraph& g);
 
   /// Collective: copy vals[owned] into every ghost copy; vals must
   /// have size g.n_total() and element type T trivially copyable.

@@ -164,13 +164,10 @@ class WorldState {
   }
 
   /// One-sided exposure slot: base/extent of the region `rank` has
-  /// posted on window `win`, plus an optional free-of-charge metadata
-  /// pointer (typically per-destination counts — the registration-time
-  /// descriptor a real RDMA rendezvous would carry).
+  /// posted on window `win`.
   struct WinSlot {
     std::byte* base = nullptr;
     std::size_t bytes = 0;
-    const count_t* meta = nullptr;
   };
   WinSlot& win_slot(int rank, int win) {
     return win_slots_[static_cast<std::size_t>(win) *
@@ -689,12 +686,8 @@ class Comm {
   }
 
   /// Collective: expose [base, base+bytes) for passive-target access on
-  /// window `win` until win_unexpose. `meta`, if non-null, must stay
-  /// valid for the window's lifetime; peers read it free of charge via
-  /// win_meta (the descriptor a real rendezvous registration carries —
-  /// the Exchanger publishes per-destination counts through it).
-  void win_expose(void* base, std::size_t bytes,
-                  const count_t* meta = nullptr, int win = 0,
+  /// window `win` until win_unexpose.
+  void win_expose(void* base, std::size_t bytes, int win = 0,
                   const char* label = nullptr) {
     vguard("win_expose");
     XTRA_ASSERT(win >= 0 && win < kMaxWindows);
@@ -714,7 +707,6 @@ class Comm {
     auto& slot = world_->win_slot(rank_, win);
     slot.base = static_cast<std::byte*>(base);
     slot.bytes = bytes;
-    slot.meta = meta;
     win_label_[static_cast<std::size_t>(win)] = label;
     win_opened_at_[static_cast<std::size_t>(win)] =
         world_->stats(rank_).collectives;
@@ -738,13 +730,6 @@ class Comm {
   std::size_t win_bytes(int target, int win = 0) const {
     XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
     return world_->win_slot(target, win).bytes;
-  }
-
-  /// Metadata pointer `target` registered with its exposure (may be
-  /// null). Reading it is free — it is part of the registration.
-  const count_t* win_meta(int target, int win = 0) const {
-    XTRA_ASSERT(win_active_[static_cast<std::size_t>(win)]);
-    return world_->win_slot(target, win).meta;
   }
 
   /// Passive-target read: copy `len` bytes at `offset` of `target`'s

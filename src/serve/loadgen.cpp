@@ -1,19 +1,26 @@
 #include "serve/loadgen.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace xtra::serve {
 
 std::vector<Query> LoadGen::generate(const LoadGenConfig& cfg,
                                      gid_t n_global) {
-  XTRA_ASSERT(n_global > 0);
-  XTRA_ASSERT(cfg.rate_qps > 0.0);
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("serve::LoadGen: ") + what);
+  };
+  if (n_global == 0) reject("n_global must be > 0");
+  if (!(cfg.rate_qps > 0.0)) reject("rate_qps must be > 0");
+  if (cfg.weight_lookup < 0.0 || cfg.weight_khop < 0.0 ||
+      cfg.weight_bfs < 0.0 || cfg.weight_ppr < 0.0)
+    reject("mix weights must be >= 0");
   const double wsum = cfg.weight_lookup + cfg.weight_khop + cfg.weight_bfs +
                       cfg.weight_ppr;
-  XTRA_ASSERT(wsum > 0.0);
+  if (!(wsum > 0.0)) reject("mix weights must sum to > 0");
 
   // One fixed stream (not per rank): the trace is shared state.
   Rng rng(cfg.seed, 0x10adULL);

@@ -34,7 +34,9 @@ class LoadGen {
   /// Deterministic trace of cfg.num_queries queries with
   /// non-decreasing arrival_seconds and sources uniform in
   /// [0, n_global). Pure function of (cfg, n_global) — call it on
-  /// every rank and hand the result to serve::Scheduler::run.
+  /// every rank and hand the result to serve::Scheduler::run. Throws
+  /// std::invalid_argument when n_global == 0, rate_qps <= 0, a mix
+  /// weight is negative, or the weights sum to <= 0.
   static std::vector<Query> generate(const LoadGenConfig& cfg,
                                      gid_t n_global);
 };

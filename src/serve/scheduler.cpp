@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "graph/frontier.hpp"
 #include "util/assert.hpp"
@@ -29,6 +31,31 @@ struct Slot {
   bool active() const { return query != kNoQuery; }
 };
 
+/// Entry check run before the first collective: throws
+/// std::invalid_argument for a config or trace the scheduler cannot
+/// serve. Config and trace are rank-uniform, so every rank throws and
+/// none waits in a collective.
+void validate(const ServeConfig& cfg, const graph::DistGraph& g,
+              const std::vector<Query>& queries) {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("serve::Scheduler: " + what);
+  };
+  engine::detail::validate(cfg.engine, false);
+  if (cfg.slot_budget < 1) reject("slot_budget must be >= 1");
+  if (!(cfg.ppr_alpha > 0.0 && cfg.ppr_alpha < 1.0))
+    reject("ppr_alpha must be in (0, 1)");
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].source >= g.n_global())
+      reject("query " + std::to_string(i) + " has source " +
+             std::to_string(queries[i].source) + " >= n_global " +
+             std::to_string(g.n_global()));
+    if (i > 0 && queries[i].arrival_seconds < queries[i - 1].arrival_seconds)
+      reject("query " + std::to_string(i) +
+             " arrives before its predecessor (trace must be "
+             "arrival-ordered)");
+  }
+}
+
 /// Nearest-rank percentile of an ascending latency list.
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -44,21 +71,17 @@ double percentile(const std::vector<double>& sorted, double q) {
 std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
                                         const graph::DistGraph& g,
                                         const std::vector<Query>& queries) {
+  validate(cfg_, g, queries);
   par::ThreadScope threads(cfg_.engine.num_threads);
   const count_t budget = cfg_.slot_budget;
-  XTRA_ASSERT(budget > 0);
   const count_t n = static_cast<count_t>(queries.size());
-  for (count_t i = 1; i < n; ++i)
-    XTRA_ASSERT(queries[static_cast<std::size_t>(i)].arrival_seconds >=
-                queries[static_cast<std::size_t>(i - 1)].arrival_seconds);
 
   std::vector<QueryResult> results(queries.size());
   stats_ = ServeStats{};
   stats_.num_queries = n;
   if (n == 0) return results;
 
-  graph::MultiSourceStepper<gid_t> stepper(cfg_.engine.max_exchange_bytes,
-                                           cfg_.engine.backend);
+  graph::MultiSourceStepper<gid_t> stepper(cfg_.engine.max_exchange_bytes);
   const lid_t stride = g.n_total();
   // Slot-major level planes, reset per admission (slot reuse).
   std::vector<count_t> levels(
@@ -90,7 +113,6 @@ std::vector<QueryResult> Scheduler::run(sim::Comm& comm,
 
   const auto admit = [&](count_t qi, count_t s) {
     const Query& q = queries[static_cast<std::size_t>(qi)];
-    XTRA_ASSERT(q.source < g.n_global());
     Slot& sl = slots[static_cast<std::size_t>(s)];
     sl = Slot{};
     sl.query = qi;

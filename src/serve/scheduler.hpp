@@ -20,7 +20,7 @@
 // the shared query list and allreduced counters, so all ranks run the
 // identical collective sequence (the verifier's lockstep checker
 // stays green) and per-query latencies are byte-identical at any
-// thread width and on either wire backend. With zero in-flight
+// thread width and any exchange chunk size. With zero in-flight
 // queries the scheduler issues NO collectives at all — idle gaps are
 // a clock jump to the next arrival, not a polling loop.
 #pragma once
@@ -36,8 +36,8 @@
 namespace xtra::serve {
 
 struct ServeConfig {
-  /// Transport knobs for the packed frontier exchange (backend,
-  /// max_exchange_bytes, num_threads). coalesce_every and tol are
+  /// Transport knobs for the packed frontier exchange
+  /// (max_exchange_bytes, num_threads). coalesce_every and tol are
   /// dense-mode knobs and ignored here.
   engine::Config engine;
   /// Concurrent query slots: the packing width of a superstep. 1
@@ -70,7 +70,10 @@ class Scheduler {
   /// Collective: serve every query, returning per-query results in
   /// input order. `queries` must be arrival-ordered (LoadGen traces
   /// are) and identical on every rank. Every rank returns identical
-  /// results and stats.
+  /// results and stats. Throws std::invalid_argument, on every rank
+  /// and before any collective, for an invalid cfg (engine knobs,
+  /// slot_budget < 1, ppr_alpha outside (0, 1)), an out-of-order
+  /// trace, or a source >= n_global.
   std::vector<QueryResult> run(sim::Comm& comm, const graph::DistGraph& g,
                                const std::vector<Query>& queries);
 

@@ -8,9 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
-#include <string_view>
 #include <vector>
 
 #include "analytics/programs.hpp"
@@ -32,15 +30,6 @@ namespace {
 
 using comm::DestBuckets;
 using comm::Exchanger;
-
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided re-drives the end-to-end
-/// result-correctness tests through the alternate transport. The
-/// exact-billing tests never read it.
-comm::Backend env_backend() {
-  const char* v = std::getenv("XTRA_TEST_BACKEND");
-  return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
-                                                : comm::Backend::kTwoSided;
-}
 
 // ---------------------------------------------------------------------------
 // DestBuckets
@@ -460,7 +449,7 @@ TEST_P(RaggedWorlds, BitIdenticalToAlltoallvUnderAnyBound) {
       const std::vector<std::uint64_t> expect =
           comm.alltoallv(send, counts, &expect_rcounts);
 
-      Exchanger ex(bound, env_backend());
+      Exchanger ex(bound);
       std::vector<count_t> rcounts;
       const auto got = ex.exchange(comm, send, counts, &rcounts);
       ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect)
@@ -481,7 +470,7 @@ TEST_P(RaggedWorlds, StartFinishSurvivesBufferDestruction) {
       const std::vector<std::uint64_t> expect =
           comm.alltoallv(send, counts, &expect_rcounts);
 
-      Exchanger ex(bound, env_backend());
+      Exchanger ex(bound);
       ex.start(comm, send, counts);
       EXPECT_TRUE(ex.in_flight());
       // start() snapshots the payload: the caller's buffer is dead
@@ -595,7 +584,7 @@ TEST(BoundedExchange, HaloRefreshIdenticalUnderAnyBound) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan halo(comm, g, env_backend());
+      graph::HaloPlan halo(comm, g);
       halo.set_max_send_bytes(bound);
       std::vector<gid_t> vals(g.n_total(), 0);
       for (lid_t v = 0; v < g.n_local(); ++v) vals[v] = g.gid_of(v) * 3 + 1;
@@ -617,8 +606,8 @@ TEST(BoundedExchange, HaloPrefetchInterleavedIdenticalUnderAnyBound) {
     sim::run_world(3, [&](sim::Comm& comm) {
       const auto g = graph::build_dist_graph(
           comm, el, graph::VertexDist::random(el.n, 3, 5));
-      graph::HaloPlan blocking_halo(comm, g, env_backend());
-      graph::HaloPlan overlap_halo(comm, g, env_backend());
+      graph::HaloPlan blocking_halo(comm, g);
+      graph::HaloPlan overlap_halo(comm, g);
       blocking_halo.set_max_send_bytes(bound);
       overlap_halo.set_max_send_bytes(bound);
       // Meter only the replayed exchanges, not the constructor's
@@ -671,8 +660,6 @@ TEST(BoundedExchange, UpdateExchangerSplitMatchesRun) {
       core::UpdateExchanger split_ex(bound);
       run_ex.build_destinations(g);
       split_ex.build_destinations(g);
-      run_ex.set_backend(env_backend());
-      split_ex.set_backend(env_backend());
       std::vector<part_t> run_parts(g.n_total(), 0);
       std::vector<part_t> split_parts(g.n_total(), 0);
       for (int it = 0; it < 3; ++it) {
@@ -724,126 +711,6 @@ TEST(BoundedExchange, PartitionBitIdenticalUnderAnyBound) {
   EXPECT_EQ(run(sizeof(core::PartUpdate)), unbounded);
   EXPECT_EQ(run(256), unbounded);
   EXPECT_EQ(run(count_t(1) << 24), unbounded);
-}
-
-// ---------------------------------------------------------------------------
-// One-sided (pull-mode) backend
-
-TEST(OneSidedExchange, BitIdenticalToTwoSidedAndSameWireBytes) {
-  const int nranks = 4;
-  sim::run_world(nranks, [&](sim::Comm& comm) {
-    // Ragged payload: rank r sends (r + d) records to destination d.
-    std::vector<count_t> counts(static_cast<std::size_t>(nranks));
-    std::vector<std::uint64_t> send;
-    for (int d = 0; d < nranks; ++d) {
-      counts[static_cast<std::size_t>(d)] = comm.rank() + d;
-      for (count_t i = 0; i < counts[static_cast<std::size_t>(d)]; ++i)
-        send.push_back(static_cast<std::uint64_t>(comm.rank()) * 1'000'000 +
-                       static_cast<std::uint64_t>(d) * 1'000 +
-                       static_cast<std::uint64_t>(i));
-    }
-
-    comm.barrier();
-    comm.reset_stats();
-    Exchanger push;
-    std::vector<count_t> push_rcounts;
-    const auto pushed = push.exchange(comm, send, counts, &push_rcounts);
-    const std::vector<std::uint64_t> expect(pushed.begin(), pushed.end());
-    const count_t push_wire = comm.stats().bytes_sent;
-
-    comm.barrier();
-    comm.reset_stats();
-    Exchanger pull(0, comm::Backend::kOneSided);
-    EXPECT_EQ(pull.backend(), comm::Backend::kOneSided);
-    std::vector<count_t> pull_rcounts;
-    const auto got = pull.exchange(comm, send, counts, &pull_rcounts);
-    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
-    EXPECT_EQ(pull_rcounts, push_rcounts);
-    // Consumers fetch exactly the records the push would have
-    // delivered, so the wire payload matches byte for byte; the
-    // ledger shows how it traveled.
-    EXPECT_EQ(comm.stats().bytes_sent, push_wire);
-    EXPECT_EQ(pull.stats().bytes_sent, push.stats().bytes_sent);
-    EXPECT_EQ(pull.stats().exchanges, 1);
-    EXPECT_EQ(pull.stats().phases, 1);
-    EXPECT_GT(pull.stats().one_sided_gets, 0);
-    EXPECT_GT(comm.stats().one_sided_bytes, 0);
-    EXPECT_EQ(push.stats().one_sided_gets, 0);
-  });
-}
-
-TEST(OneSidedExchange, StartFinishOverlapsAndSurvivesBufferDeath) {
-  const int nranks = 4;
-  const count_t per_dest = 6;
-  sim::run_world(nranks, [&](sim::Comm& comm) {
-    auto send = staged_payload(comm.rank(), nranks, per_dest);
-    const std::vector<count_t> counts(static_cast<std::size_t>(nranks),
-                                      per_dest);
-    const std::vector<std::uint64_t> expect = comm.alltoallv(send, counts);
-
-    Exchanger ex(0, comm::Backend::kOneSided);
-    ex.start(comm, send, counts);
-    EXPECT_TRUE(ex.in_flight());
-    // The snapshot backs the exposed window — the caller's buffer may
-    // die, and blocking collectives may run, while peers still pull.
-    std::fill(send.begin(), send.end(), 0xDEADBEEFu);
-    send.clear();
-    send.shrink_to_fit();
-    EXPECT_EQ(comm.allreduce_sum<count_t>(1), static_cast<count_t>(nranks));
-    const auto got = ex.finish<std::uint64_t>(comm);
-    EXPECT_FALSE(ex.in_flight());
-    EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expect);
-    EXPECT_EQ(ex.stats().overlapped, 1);
-  });
-}
-
-TEST(OneSidedExchange, CoalescerAndQueryReplyRidePullMode) {
-  sim::run_world(3, [](sim::Comm& comm) {
-    // Coalesced rounds flush through the pull path...
-    comm::CoalescingExchanger co(0, 0, comm::Backend::kOneSided);
-    DestBuckets<std::uint64_t> b;
-    b.build(comm.size(), std::vector<std::uint64_t>{1, 2, 3},
-            [&](std::uint64_t v) {
-              return static_cast<int>(v) % comm.size();
-            },
-            [&](std::uint64_t v) {
-              return v * 10 + static_cast<std::uint64_t>(comm.rank());
-            });
-    EXPECT_FALSE(co.enqueue(comm, b).has_value());  // explicit-flush mode
-    const auto got = co.flush<std::uint64_t>(comm);
-    count_t mine = 0;
-    for (std::uint64_t v = 1; v <= 3; ++v)
-      if (static_cast<int>(v) % comm.size() == comm.rank())
-        mine += comm.size();
-    EXPECT_EQ(static_cast<count_t>(got.size()), mine);
-
-    // ...and the query/reply round trip answers correctly end to end.
-    Exchanger ex(0, comm::Backend::kOneSided);
-    DestBuckets<std::uint64_t> q;
-    q.build(comm.size(), std::vector<std::uint64_t>{0, 1, 2},
-            [&](std::uint64_t v) { return static_cast<int>(v) % comm.size(); },
-            [](std::uint64_t v) { return v; });
-    const auto replies = comm::query_reply(
-        comm, ex, q.records(), q.counts(),
-        [&](const std::uint64_t& v) { return v * 100 + 7; });
-    ASSERT_EQ(replies.size(), q.records().size());
-    for (std::size_t i = 0; i < replies.size(); ++i)
-      EXPECT_EQ(replies[i], q.records()[i] * 100 + 7);
-  });
-}
-
-TEST(OneSidedExchange, AllEmptyExchangeStillCollective) {
-  sim::run_world(3, [](sim::Comm& comm) {
-    Exchanger ex(0, comm::Backend::kOneSided);
-    const std::vector<count_t> counts(3, 0);
-    const std::vector<std::uint64_t> send;
-    std::vector<count_t> rcounts;
-    const auto got = ex.exchange(comm, send, counts, &rcounts);
-    EXPECT_TRUE(got.empty());
-    EXPECT_EQ(rcounts, counts);
-    EXPECT_EQ(ex.stats().bytes_sent, 0);
-    EXPECT_EQ(ex.stats().one_sided_bytes, 0);
-  });
 }
 
 }  // namespace

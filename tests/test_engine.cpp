@@ -1,6 +1,6 @@
 // Tests for the unified vertex-program engine (src/engine/): the
 // bit-identity matrix against a default-knob run across the transport
-// knobs ({two-sided, one-sided} x {coalesce 0, 1, 3}), the dense
+// knobs (coalesce 0, 1, 3), the dense
 // drivers against hand-written blocking references (the overlapped
 // halo superstep, PageRank, k-core) and against each other (commLP
 // coalesced vs full refresh, ghosts equal owners on exit), the two
@@ -49,22 +49,6 @@ std::vector<T> by_gid(sim::Comm& comm, const DistGraph& g,
   return global;
 }
 
-/// CI matrix hook: XTRA_TEST_BACKEND=onesided re-drives the
-/// result-correctness tests through the alternate transport.
-/// Exact-billing assertions never read it — a billing contract is
-/// per-backend by definition.
-comm::Backend env_backend() {
-  const char* v = std::getenv("XTRA_TEST_BACKEND");
-  return v && std::string_view(v) == "onesided" ? comm::Backend::kOneSided
-                                                : comm::Backend::kTwoSided;
-}
-
-engine::Config env_cfg() {
-  engine::Config cfg;
-  cfg.backend = env_backend();
-  return cfg;
-}
-
 /// CI matrix hook: XTRA_TEST_OOC={mmap,remote} re-drives every graph
 /// in this suite with its adjacency behind a 4x-undersized segment
 /// cache (DESIGN.md §9) — segments small enough that the quarter
@@ -92,24 +76,19 @@ DistGraph build_graph(sim::Comm& comm, const EdgeList& el,
 
 /// Every transport configuration the engine must drive every kernel
 /// through: the full refresh (coalesce 0) and the coalesced refresh
-/// at cadence {1, 3}, each crossed with both wire backends.
+/// at cadence {1, 3}.
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    for (const int coalesce : {0, 1, 3}) {
-      engine::Config cfg;
-      cfg.backend = backend;
-      cfg.coalesce_every = coalesce;
-      cfgs.push_back(cfg);
-    }
+  for (const int coalesce : {0, 1, 3}) {
+    engine::Config cfg;
+    cfg.coalesce_every = coalesce;
+    cfgs.push_back(cfg);
   }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string(cfg.backend == comm::Backend::kOneSided ? "1s" : "2s") +
-         "/c" + std::to_string(cfg.coalesce_every);
+  return "c" + std::to_string(cfg.coalesce_every);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +197,8 @@ TEST(EngineMatrix, CommLpCoalesce1BitIdentical) {
   }
 }
 
-// PageRank is fixed-iteration: the transport knobs (backend, chunk
-// size) preserve the read schedule, so every cell is bit-identical.
+// PageRank is fixed-iteration: the chunk size preserves the read
+// schedule, so every cell is bit-identical.
 TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
   const EdgeList el = gen::erdos_renyi(1'000, 8, 11);
   std::vector<double> ref;
@@ -234,40 +213,35 @@ TEST(EngineMatrix, PageRankPolicyAndChunkBitIdentical) {
     comm.allreduce_max(global);
     if (comm.rank() == 0) ref = global;
   });
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided})
-    for (const count_t chunk : {count_t{0}, count_t{1} << 10}) {
-      sim::run_world(4, [&](sim::Comm& comm) {
-        const DistGraph g =
-            build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-        PageRankProgram p;
-        engine::Config cfg;
-        cfg.max_supersteps = 12;
-        cfg.backend = backend;
-        cfg.max_exchange_bytes = chunk;
-        engine::run(comm, g, p, cfg);
-        std::vector<double> global(g.n_global(), 0.0);
-        for (lid_t v = 0; v < g.n_local(); ++v)
-          global[g.gid_of(v)] = p.rank[v];
-        comm.allreduce_max(global);
-        if (comm.rank() == 0) {
-          EXPECT_EQ(global, ref);
-        }
-        EXPECT_NEAR(p.sum, 1.0, 1e-9);
-      });
-    }
+  for (const count_t chunk : {count_t{0}, count_t{1} << 10}) {
+    sim::run_world(4, [&](sim::Comm& comm) {
+      const DistGraph g =
+          build_graph(comm, el, VertexDist::random(el.n, 4, 3));
+      PageRankProgram p;
+      engine::Config cfg;
+      cfg.max_supersteps = 12;
+      cfg.max_exchange_bytes = chunk;
+      engine::run(comm, g, p, cfg);
+      std::vector<double> global(g.n_global(), 0.0);
+      for (lid_t v = 0; v < g.n_local(); ++v)
+        global[g.gid_of(v)] = p.rank[v];
+      comm.allreduce_max(global);
+      if (comm.rank() == 0) {
+        EXPECT_EQ(global, ref);
+      }
+      EXPECT_NEAR(p.sum, 1.0, 1e-9);
+    });
+  }
 }
 
 // The composites route every engine run they issue through cfg: both
-// must produce identical results under the one-sided backend and a
-// chunked exchange.
+// must produce identical results under a chunked exchange.
 TEST(EngineMatrix, HarmonicAndSccIdenticalUnderTransportKnobs) {
   const EdgeList directed = gen::webcrawl(2'000, 10, 3);
   sim::run_world(4, [&](sim::Comm& comm) {
     const DistGraph g =
         build_graph(comm, directed, VertexDist::random(directed.n, 4, 3));
-    const engine::Config cfg{.backend = comm::Backend::kOneSided,
-                             .max_exchange_bytes = count_t{1} << 10};
+    const engine::Config cfg{.max_exchange_bytes = count_t{1} << 10};
     const HarmonicResult ref_h = harmonic_centrality(comm, g, 4, 9);
     const HarmonicResult h = harmonic_centrality(comm, g, 4, 9, cfg);
     EXPECT_EQ(h.centrality, ref_h.centrality);
@@ -290,7 +264,7 @@ TEST(EngineFrontier, BfsProgramMatchesBfsLevels) {
     const count_t ecc = graph::bfs_levels(comm, g, 1, levels);
     BfsProgram p;
     p.root = 1;
-    engine::run(comm, g, p, env_cfg());
+    engine::run(comm, g, p);
     EXPECT_EQ(p.ecc, ecc);
     for (lid_t v = 0; v < g.n_total(); ++v) {
       const count_t expect =
@@ -313,7 +287,7 @@ TEST(EngineFrontier, MultiBfsMatchesPerSourceBfsWithFewerCollectives) {
     const count_t coll0 = comm.stats().collectives;
     MultiBfsProgram multi;
     multi.roots = roots;
-    engine::run(comm, g, multi, env_cfg());
+    engine::run(comm, g, multi);
     const count_t multi_coll = comm.stats().collectives - coll0;
     ASSERT_EQ(multi.ecc.size(), roots.size());
     count_t single_coll = 0;
@@ -321,7 +295,7 @@ TEST(EngineFrontier, MultiBfsMatchesPerSourceBfsWithFewerCollectives) {
       const count_t c0 = comm.stats().collectives;
       BfsProgram p;
       p.root = roots[s];
-      engine::run(comm, g, p, env_cfg());
+      engine::run(comm, g, p);
       single_coll += comm.stats().collectives - c0;
       EXPECT_EQ(multi.ecc[s], p.ecc);
       for (lid_t v = 0; v < g.n_total(); ++v)
@@ -553,8 +527,8 @@ TEST(HaloSuperstep, OverlappedBitIdenticalToBlocking) {
       sim::run_world(4, [&](sim::Comm& comm) {
         const DistGraph g = graph::build_dist_graph(
             comm, el, VertexDist::random(el.n, 4, 5));
-        graph::HaloPlan ref_halo(comm, g, env_backend());
-        graph::HaloPlan halo(comm, g, env_backend());
+        graph::HaloPlan ref_halo(comm, g);
+        graph::HaloPlan halo(comm, g);
         ref_halo.set_max_send_bytes(bound);
         halo.set_max_send_bytes(bound);
         ref_halo.reset_stats();
@@ -767,7 +741,7 @@ TEST(EngineStats, LedgerAndJsonExport) {
   sim::run_world(2, [&](sim::Comm& comm) {
     const DistGraph g = build_graph(comm, el, VertexDist::block(el.n, 2));
     WccProgram p;
-    const engine::Stats st = engine::run(comm, g, p, env_cfg());
+    const engine::Stats st = engine::run(comm, g, p);
     EXPECT_GT(st.supersteps, 0);
     EXPECT_GT(st.seconds, 0.0);
     EXPECT_GT(st.exchange.exchanges, 0);
@@ -786,11 +760,9 @@ TEST(EngineStats, LedgerAndJsonExport) {
 
 TEST(EngineConfig, FromParamsMapsEveryKnob) {
   core::Params params;
-  params.backend = comm::Backend::kOneSided;
   params.max_exchange_bytes = 1 << 14;
   params.num_threads = 4;
   const engine::Config cfg = engine::Config::from_params(params);
-  EXPECT_EQ(cfg.backend, comm::Backend::kOneSided);
   EXPECT_EQ(cfg.max_exchange_bytes, 1 << 14);
   EXPECT_EQ(cfg.num_threads, 4);
   // The analytics-only knobs keep their defaults.
@@ -985,8 +957,7 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
           ex.exchanges,           ex.phases,
           ex.records_sent,        ex.bytes_sent,
           ex.coalesced_flushes,   ex.overlapped,
-          ex.max_inflight_bytes,  ex.one_sided_gets,
-          ex.one_sided_bytes};
+          ex.max_inflight_bytes};
 }
 
 TEST(EngineThreads, PageRankBitIdenticalAcrossThreadCountsAndKnobs) {
@@ -1070,7 +1041,7 @@ TEST(EngineThreads, SsspBitIdenticalAcrossThreadCounts) {
       DeltaSsspProgram p;
       p.root = 3;
       p.delta = 8;
-      engine::Config cfg = env_cfg();
+      engine::Config cfg;
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
       const auto global = by_gid(comm, g, p.dist);
@@ -1102,7 +1073,7 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
           build_graph(comm, el, VertexDist::random(el.n, 2, 3));
       TriangleCountProgram p;
       p.sample_cap = 64;
-      engine::Config cfg = env_cfg();
+      engine::Config cfg;
       cfg.max_supersteps = 1;  // single staging superstep
       cfg.num_threads = threads;
       const engine::Stats st = engine::run(comm, g, p, cfg);
@@ -1122,30 +1093,26 @@ TEST(EngineThreads, TriangleCountBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// One-sided runs must bill their pulls in the engine ledger, and
-// two-sided runs must bill none.
-TEST(EngineStats, OneSidedPullsBilled) {
+// Every engine exchange is a two-sided alltoallv: an in-core run bills
+// its payload in the exchange ledger, one wire phase per unbounded
+// exchange, and issues no window traffic at all. The graph is built
+// in-core on purpose (the XTRA_TEST_OOC remote backing pulls through
+// windows).
+TEST(EngineStats, TwoSidedLedgerBillsEveryExchange) {
   const EdgeList el = gen::erdos_renyi(800, 8, 5);
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      const DistGraph g =
-          build_graph(comm, el, VertexDist::random(el.n, 4, 3));
-      WccProgram p;
-      engine::Config cfg;
-      cfg.backend = backend;
-      const engine::Stats st = engine::run(comm, g, p, cfg);
-      if (backend == comm::Backend::kOneSided) {
-        EXPECT_GT(st.exchange.one_sided_gets, 0);
-        EXPECT_GT(st.exchange.one_sided_bytes, 0);
-      } else {
-        EXPECT_EQ(st.exchange.one_sided_gets, 0);
-      }
-      const std::string json = st.to_json();
-      EXPECT_NE(json.find("\"one_sided_gets\""), std::string::npos);
-      EXPECT_NE(json.find("\"one_sided_bytes\""), std::string::npos);
-    });
-  }
+  sim::run_world(4, [&](sim::Comm& comm) {
+    const DistGraph g =
+        build_dist_graph(comm, el, VertexDist::random(el.n, 4, 3));
+    const count_t gets_before = comm.stats().one_sided_gets;
+    WccProgram p;
+    const engine::Stats st = engine::run(comm, g, p);
+    EXPECT_EQ(comm.stats().one_sided_gets, gets_before);
+    EXPECT_GT(st.exchange.exchanges, 0);
+    EXPECT_EQ(st.exchange.phases, st.exchange.exchanges);
+    EXPECT_GT(st.exchange.bytes_sent, 0);
+    EXPECT_LE(st.exchange.bytes_sent, st.comm_bytes);
+    EXPECT_EQ(st.to_json().find("one_sided"), std::string::npos);
+  });
 }
 
 }  // namespace

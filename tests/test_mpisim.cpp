@@ -430,8 +430,7 @@ TEST_P(WorldSizes, WindowPassiveGetReadsPeerMemory) {
           static_cast<std::uint64_t>(d);
     const int win = comm.find_free_window();
     EXPECT_EQ(win, 0);
-    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t), nullptr,
-                    win);
+    comm.win_expose(mem.data(), mem.size() * sizeof(std::uint64_t), win);
     EXPECT_TRUE(comm.win_exposed(win));
     for (int t = 0; t < n; ++t) {
       EXPECT_EQ(comm.win_bytes(t, win), mem.size() * sizeof(std::uint64_t));
@@ -470,24 +469,6 @@ TEST_P(WorldSizes, WindowFenceOrdersPutsBeforeReads) {
   });
 }
 
-TEST(Windows, MetaTravelsWithTheExposure) {
-  run_world(3, [](Comm& comm) {
-    // Registration metadata (per-destination counts) rides the expose
-    // for free — the rendezvous descriptor pattern.
-    std::vector<count_t> meta{10 + comm.rank(), 20 + comm.rank(),
-                              30 + comm.rank()};
-    std::uint64_t payload = 0;
-    comm.win_expose(&payload, sizeof(payload), meta.data());
-    for (int t = 0; t < 3; ++t) {
-      const count_t* m = comm.win_meta(t, 0);
-      ASSERT_NE(m, nullptr);
-      EXPECT_EQ(m[comm.rank()],
-                static_cast<count_t>((comm.rank() + 1) * 10 + t));
-    }
-    comm.win_unexpose(0);
-  });
-}
-
 TEST(Windows, BillingChargesOriginAndSelfIsFree) {
   run_world(4, [](Comm& comm) {
     std::vector<std::uint64_t> mem(4, 5);
@@ -517,7 +498,7 @@ TEST(Windows, ExhaustionThrowsAndChannelsStayIndependent) {
   run_world(2, [](Comm& comm) {
     std::uint64_t x = 0;
     for (int w = 0; w < Comm::max_windows(); ++w)
-      comm.win_expose(&x, sizeof(x), nullptr, w);
+      comm.win_expose(&x, sizeof(x), w);
     EXPECT_THROW((void)comm.find_free_window(), std::runtime_error);
     // Windows and channels are separate namespaces: all windows busy,
     // every channel still free.

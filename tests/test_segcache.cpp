@@ -60,8 +60,7 @@ std::vector<count_t> wire_ledger(const engine::Stats& st) {
   return {st.supersteps,         ex.exchanges,
           ex.phases,             ex.records_sent,
           ex.bytes_sent,         ex.coalesced_flushes,
-          ex.overlapped,         ex.max_inflight_bytes,
-          ex.one_sided_gets,     ex.one_sided_bytes};
+          ex.overlapped,         ex.max_inflight_bytes};
 }
 
 // ---------------------------------------------------------------------------
@@ -288,21 +287,16 @@ TEST(SegCacheGraph, DirectedInArcsMatchAndZeroDegreeSafe) {
 
 std::vector<engine::Config> knob_matrix() {
   std::vector<engine::Config> cfgs;
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    for (const int coalesce : {0, 1, 3}) {
-      engine::Config cfg;
-      cfg.backend = backend;
-      cfg.coalesce_every = coalesce;
-      cfgs.push_back(cfg);
-    }
+  for (const int coalesce : {0, 1, 3}) {
+    engine::Config cfg;
+    cfg.coalesce_every = coalesce;
+    cfgs.push_back(cfg);
   }
   return cfgs;
 }
 
 std::string cfg_name(const engine::Config& cfg) {
-  return std::string(cfg.backend == comm::Backend::kOneSided ? "1s" : "2s") +
-         "/c" + std::to_string(cfg.coalesce_every);
+  return "c" + std::to_string(cfg.coalesce_every);
 }
 
 TEST(SegCacheMatrix, WccBitIdenticalAndWireLedgerEqualUnderPressure) {
@@ -440,47 +434,42 @@ TEST(SegCacheAcceptance, PartitionPageRankWccBitIdenticalBothBackings) {
 }
 
 // Two remote-backed graphs share one world: each fetch lane takes its
-// own window slot, and each graph's PageRank (on both wire backends,
-// whose one-sided exposures need further slots) is bit-identical to
-// its in-core run.
+// own window slot, and each graph's PageRank is bit-identical to its
+// in-core run.
 TEST(SegCache, TwoRemoteGraphsInOneWorld) {
   const EdgeList el_a = gen::erdos_renyi(600, 8, 3);
   const EdgeList el_b = gen::community_graph(700, 8, 0.7, 2.3, 5);
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided}) {
-    sim::run_world(4, [&](sim::Comm& comm) {
-      engine::Config cfg;
-      cfg.backend = backend;
-      cfg.max_supersteps = 8;
-      DistGraph a =
-          build_dist_graph(comm, el_a, VertexDist::random(el_a.n, 4, 3));
-      DistGraph b =
-          build_dist_graph(comm, el_b, VertexDist::random(el_b.n, 4, 5));
-      PageRankProgram ref_a, ref_b;
-      engine::run(comm, a, ref_a, cfg);
-      engine::run(comm, b, ref_b, cfg);
+  sim::run_world(4, [&](sim::Comm& comm) {
+    engine::Config cfg;
+    cfg.max_supersteps = 8;
+    DistGraph a =
+        build_dist_graph(comm, el_a, VertexDist::random(el_a.n, 4, 3));
+    DistGraph b =
+        build_dist_graph(comm, el_b, VertexDist::random(el_b.n, 4, 5));
+    PageRankProgram ref_a, ref_b;
+    engine::run(comm, a, ref_a, cfg);
+    engine::run(comm, b, ref_b, cfg);
 
-      SegCacheOptions opt;
-      opt.backing = SegBacking::kRemote;
-      opt.segment_bytes = 1 << 9;
-      opt.budget_bytes = working_set_bytes(a) / 4;
-      opt.host_rank = 0;
-      a.enable_out_of_core(comm, opt);
-      opt.budget_bytes = working_set_bytes(b) / 4;
-      opt.host_rank = 1;
-      b.enable_out_of_core(comm, opt);
+    SegCacheOptions opt;
+    opt.backing = SegBacking::kRemote;
+    opt.segment_bytes = 1 << 9;
+    opt.budget_bytes = working_set_bytes(a) / 4;
+    opt.host_rank = 0;
+    a.enable_out_of_core(comm, opt);
+    opt.budget_bytes = working_set_bytes(b) / 4;
+    opt.host_rank = 1;
+    b.enable_out_of_core(comm, opt);
 
-      PageRankProgram ooc_a, ooc_b;
-      const engine::Stats st_a = engine::run(comm, a, ooc_a, cfg);
-      const engine::Stats st_b = engine::run(comm, b, ooc_b, cfg);
-      EXPECT_GT(st_a.exchange.seg_misses, 0);
-      EXPECT_GT(st_b.exchange.seg_misses, 0);
-      EXPECT_EQ(ooc_a.rank, ref_a.rank);
-      EXPECT_EQ(ooc_b.rank, ref_b.rank);
-      b.disable_out_of_core(comm);
-      a.disable_out_of_core(comm);
-    });
-  }
+    PageRankProgram ooc_a, ooc_b;
+    const engine::Stats st_a = engine::run(comm, a, ooc_a, cfg);
+    const engine::Stats st_b = engine::run(comm, b, ooc_b, cfg);
+    EXPECT_GT(st_a.exchange.seg_misses, 0);
+    EXPECT_GT(st_b.exchange.seg_misses, 0);
+    EXPECT_EQ(ooc_a.rank, ref_a.rank);
+    EXPECT_EQ(ooc_b.rank, ref_b.rank);
+    b.disable_out_of_core(comm);
+    a.disable_out_of_core(comm);
+  });
 }
 
 // Frontier engine under pressure: the per-level plan is rebuilt from

@@ -1,9 +1,10 @@
 // Tests for the serving subsystem (src/serve/): deterministic load
 // generation, per-kind scheduler correctness against single-rank
 // serial references, the latency determinism contract across the
-// transport matrix ({two-sided, one-sided} x threads {1, 8}), and the
+// transport matrix (chunk size {0, 64} x threads {1, 8}), the
 // scheduler edge cases — zero in-flight wire silence, mid-superstep
-// arrival, slot exhaustion + backfill ordering, and ghost sources.
+// arrival, slot exhaustion + backfill ordering, and ghost sources —
+// and the rejection of invalid configs and traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,9 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/generators.hpp"
@@ -243,16 +247,15 @@ TEST(ServeScheduler, PackedBeatsPerQueryOnCollectivesSameAnswers) {
 // ---------------------------------------------------------------------------
 // Determinism matrix (satellite: edge cases across the full matrix)
 
-TEST(ServeScheduler, LatenciesBitIdenticalAcrossBackendsAndThreads) {
+TEST(ServeScheduler, LatenciesBitIdenticalAcrossChunksAndThreads) {
   const EdgeList el = test_graph();
   const std::vector<Query> queries = LoadGen::generate(test_trace(), el.n);
   std::vector<QueryResult> base;
-  for (const comm::Backend backend :
-       {comm::Backend::kTwoSided, comm::Backend::kOneSided})
+  for (const count_t chunk : {count_t{0}, count_t{64}})
     for (const int threads : {1, 8}) {
       ServeConfig cfg;
       cfg.slot_budget = 4;
-      cfg.engine.backend = backend;
+      cfg.engine.max_exchange_bytes = chunk;
       cfg.engine.num_threads = threads;
       const ServeOut out = run_serve(4, el, cfg, queries);
       ASSERT_EQ(out.results.size(), queries.size());
@@ -261,7 +264,7 @@ TEST(ServeScheduler, LatenciesBitIdenticalAcrossBackendsAndThreads) {
         continue;
       }
       // The full latency ledger is bitwise identical — thread width
-      // and wire backend are pure throughput knobs.
+      // and exchange chunk size are pure throughput knobs.
       for (std::size_t i = 0; i < base.size(); ++i) {
         EXPECT_EQ(out.results[i].value, base[i].value);
         EXPECT_EQ(out.results[i].score, base[i].score);
@@ -383,6 +386,84 @@ TEST(ServeScheduler, GhostSourceResolvedByItsOwner) {
   const ServeOut out = run_serve(nranks, el, ServeConfig{}, queries);
   ASSERT_EQ(out.results.size(), 1u);
   expect_matches(q, ref, ServeConfig{}.ppr_alpha, out.results[0]);
+}
+
+// ---------------------------------------------------------------------------
+// Entry validation: a bad config or trace throws std::invalid_argument
+// on every rank before any collective, so no rank is left waiting.
+
+TEST(ServeEntry, InvalidInputThrowsOnEveryRank) {
+  const EdgeList el = test_graph();
+  const std::vector<Query> good = LoadGen::generate(test_trace(), el.n);
+
+  const auto with = [](auto edit) {
+    ServeConfig cfg;
+    edit(cfg);
+    return cfg;
+  };
+  const std::vector<std::pair<std::string, ServeConfig>> bad_cfgs = {
+      {"slot_budget 0", with([](ServeConfig& c) { c.slot_budget = 0; })},
+      {"slot_budget -1", with([](ServeConfig& c) { c.slot_budget = -1; })},
+      {"ppr_alpha 0", with([](ServeConfig& c) { c.ppr_alpha = 0.0; })},
+      {"ppr_alpha 1", with([](ServeConfig& c) { c.ppr_alpha = 1.0; })},
+      {"ppr_alpha -0.5", with([](ServeConfig& c) { c.ppr_alpha = -0.5; })},
+      {"num_threads 0",
+       with([](ServeConfig& c) { c.engine.num_threads = 0; })},
+      {"max_exchange_bytes -1",
+       with([](ServeConfig& c) { c.engine.max_exchange_bytes = -1; })},
+  };
+  std::vector<Query> out_of_order = good;
+  std::swap(out_of_order[3], out_of_order[4]);
+  ASSERT_LT(out_of_order[4].arrival_seconds, out_of_order[3].arrival_seconds);
+  std::vector<Query> bad_source = good;
+  bad_source.back().source = el.n;
+  const std::vector<std::pair<std::string, std::vector<Query>>> bad_traces = {
+      {"out-of-order arrivals", out_of_order},
+      {"source == n_global", bad_source},
+  };
+
+  for (const int nranks : {1, 2}) {
+    sim::run_world(nranks, [&](sim::Comm& comm) {
+      const DistGraph g = build_dist_graph(
+          comm, el, VertexDist::random(el.n, nranks, kDistSalt));
+      const count_t coll0 = comm.stats().collectives;
+      for (const auto& [name, cfg] : bad_cfgs) {
+        Scheduler sched(cfg);
+        EXPECT_THROW(sched.run(comm, g, good), std::invalid_argument) << name;
+        // An invalid config is rejected even with nothing to serve.
+        EXPECT_THROW(sched.run(comm, g, {}), std::invalid_argument) << name;
+      }
+      for (const auto& [name, trace] : bad_traces) {
+        Scheduler sched(ServeConfig{});
+        EXPECT_THROW(sched.run(comm, g, trace), std::invalid_argument)
+            << name;
+      }
+      EXPECT_EQ(comm.stats().collectives, coll0)
+          << "a rejected run must not have entered a collective";
+      // Nothing was left half-started: a valid run completes.
+      Scheduler sched(ServeConfig{});
+      EXPECT_EQ(sched.run(comm, g, good).size(), good.size());
+    });
+  }
+
+  const auto bad_trace = [](auto edit) {
+    LoadGenConfig lg = test_trace();
+    edit(lg);
+    return lg;
+  };
+  const std::vector<std::pair<std::string, LoadGenConfig>> bad_gens = {
+      {"rate_qps 0", bad_trace([](LoadGenConfig& c) { c.rate_qps = 0.0; })},
+      {"rate_qps -1", bad_trace([](LoadGenConfig& c) { c.rate_qps = -1.0; })},
+      {"zero weights", bad_trace([](LoadGenConfig& c) {
+         c.weight_lookup = c.weight_khop = c.weight_bfs = c.weight_ppr = 0.0;
+       })},
+      {"negative weight",
+       bad_trace([](LoadGenConfig& c) { c.weight_bfs = -1.0; })},
+  };
+  for (const auto& [name, lg] : bad_gens)
+    EXPECT_THROW((void)LoadGen::generate(lg, el.n), std::invalid_argument)
+        << name;
+  EXPECT_THROW((void)LoadGen::generate(test_trace(), 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ TEST(VerifyLifecycle, WindowLeakAtTeardownNamesExposer) {
   SKIP_WITHOUT_VERIFIER();
   const std::string msg = protocol_error_of(2, [](Comm& comm) {
     static std::vector<std::byte> region(64);
-    comm.win_expose(region.data(), region.size(), nullptr, 0,
+    comm.win_expose(region.data(), region.size(), 0,
                     "leaky-test-window");
     // No unexpose.
   });
@@ -153,7 +153,7 @@ TEST(VerifyLifecycle, SelfGetAfterUnexposeIsAttributed) {
   SKIP_WITHOUT_VERIFIER();
   const std::string msg = protocol_error_of(2, [](Comm& comm) {
     std::vector<int> region(4, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
+    comm.win_expose(region.data(), region.size() * sizeof(int), 0,
                     "short-lived-window");
     comm.win_unexpose(0);
     int x = 0;
@@ -167,7 +167,7 @@ TEST(VerifyLifecycle, AccessPastExposedRegionThrows) {
   SKIP_WITHOUT_VERIFIER();
   const std::string msg = protocol_error_of(2, [](Comm& comm) {
     std::vector<std::byte> region(16);
-    comm.win_expose(region.data(), region.size(), nullptr, 0, "small-window");
+    comm.win_expose(region.data(), region.size(), 0, "small-window");
     int x = 0;
     comm.win_get(0, (comm.rank() + 1) % comm.size(), 14, sizeof(int), &x);
     comm.win_unexpose(0);
@@ -199,7 +199,7 @@ TEST(VerifyAliasing, OwnerMutatingExposedBufferBetweenFencesDetected) {
   SKIP_WITHOUT_VERIFIER();
   const std::string msg = protocol_error_of(2, [](Comm& comm) {
     std::vector<int> region(8, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
+    comm.win_expose(region.data(), region.size() * sizeof(int), 0,
                     "mutated-window");
     if (comm.rank() == 0) region[3] = 999;  // owner writes mid-epoch
     comm.win_fence(0);
@@ -216,7 +216,7 @@ TEST(VerifyAliasing, PeerPutsStandDownTheOwnerMutationCheck) {
   // check must not misread that as an owner mutation.
   run_world(2, [](Comm& comm) {
     std::vector<int> region(8, comm.rank());
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
+    comm.win_expose(region.data(), region.size() * sizeof(int), 0,
                     "put-target");
     const int me = comm.rank();
     comm.win_put(0, (me + 1) % 2, 0, sizeof(int), &me);
@@ -254,18 +254,12 @@ TEST(VerifyThreadGuard, CommInsideWidenedPoolRegionThrows) {
 
 TEST(VerifyCleanRun, ExchangerMatrixRunsCleanUnderVerifier) {
   SKIP_WITHOUT_VERIFIER();
-  // Phased and single-phase two-sided, and one-sided pull, all use
-  // channels/windows heavily; a false positive here would break the
-  // whole suite, so pin a clean multi-backend run explicitly.
-  struct Case {
-    comm::Backend backend;
-    count_t bound;
-  };
-  for (const Case& c : {Case{comm::Backend::kTwoSided, 64},
-                        Case{comm::Backend::kTwoSided, 0},
-                        Case{comm::Backend::kOneSided, 0}}) {
+  // Phased and single-phase exchanges both use channels heavily; a
+  // false positive here would break the whole suite, so pin a clean
+  // run of each explicitly.
+  for (const count_t bound : {count_t{64}, count_t{0}}) {
     run_world(4, [&](Comm& comm) {
-      comm::Exchanger ex(c.bound, c.backend);
+      comm::Exchanger ex(bound);
       ex.set_label("clean-run-exchanger");
       const int n = comm.size();
       std::vector<count_t> counts(static_cast<std::size_t>(n));
@@ -311,7 +305,7 @@ TEST(VerifyCleanRun, VerifierBarriersAreUnbilled) {
 
     std::vector<int> region(4, 0);
     before = comm.stats().collectives;
-    comm.win_expose(region.data(), region.size() * sizeof(int), nullptr, 0,
+    comm.win_expose(region.data(), region.size() * sizeof(int), 0,
                     "billing-probe-window");
     comm.win_fence(0);
     comm.win_unexpose(0);
@@ -383,7 +377,7 @@ TEST(ChannelAttribution, WindowExhaustionNamesEveryExposer) {
     for (int w = 0; w < kMaxWindows; ++w)
       labels.push_back("exposer-" + std::to_string(w));
     for (int w = 0; w < kMaxWindows; ++w)
-      comm.win_expose(region.data(), region.size(), nullptr, w,
+      comm.win_expose(region.data(), region.size(), w,
                       labels[static_cast<std::size_t>(w)].c_str());
     try {
       (void)comm.find_free_window();

@@ -56,7 +56,7 @@ SOURCE_EXTS = (".cpp", ".hpp", ".cc", ".h")
 # Rule A: token -> allowed path prefixes (POSIX-style, repo-relative).
 SUBSTRATE_CALL = re.compile(
     r"\b(alltoallv(?:_bytes)?(?:_start|_finish)?|alltoall|"
-    r"win_(?:expose|unexpose|get|put|fence|meta|bytes|exposed)|"
+    r"win_(?:expose|unexpose|get|put|fence|bytes|exposed)|"
     r"find_free_(?:channel|window))\s*(?:<[^<>]*>\s*)?\("
 )
 SUBSTRATE_ALLOWED = (
